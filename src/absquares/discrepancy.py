@@ -4,13 +4,14 @@ The quantities here connect the arithmetic side of the project (rotation
 orbits ({n*angle}) on the torus) with the counting side: how evenly the
 orbit fills [0,1) controls how many abelian-square factors a rotation
 coding accumulates.  Everything is computed on exact points
-(:class:`~absquares.quadratic.QuadraticIrrational` or `Fraction`); floats
-appear only when a caller formats a report.
+(:class:`~absquares.quadratic.QuadraticIrrational` or `Fraction`, or for
+rotation orbits the integer kernel of :mod:`~absquares.quadratic`); floats
+only filter in front of exact decisions, or format a report.
 
 Two independent routes for the discrepancy itself:
 
 * :func:`discrepancy` — the classical closed form on sorted points,
-  O(N log N);
+  O(N log N), with a witness interval read off its two maximizers;
 * :func:`discrepancy_bruteforce` — enumerates candidate intervals with
   endpoints at the sample points, each side open or closed, O(N^2).
 
@@ -21,11 +22,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
-from .quadratic import QuadraticIrrational, cf_expand
+import numpy as np
+
+from .quadratic import (
+    QuadraticIrrational,
+    cf_expand,
+    exact_argmax,
+    exact_argsort,
+    floor_values,
+    frac_points,
+)
 from .sturmian import sturmian_asf_range
 
 __all__ = [
@@ -42,12 +51,6 @@ __all__ = [
     "growth_certificate",
     "certificate_sweep",
 ]
-
-# Exact values we can sort and subtract: quadratic irrationals, Fractions,
-# ints.  (Floats are accepted for ad-hoc use but then the "exactness" is
-# whatever binary64 gives you.)
-ExactValue = object
-
 
 def _as_exact(x):
     if isinstance(x, (QuadraticIrrational, Fraction, int)):
@@ -76,14 +79,11 @@ class PointSequence:
 
 
 def rotation_orbit(angle: QuadraticIrrational, count: int) -> PointSequence:
-    """The orbit ({n*angle}) for n = 1..count, computed incrementally."""
+    """The orbit ({n*angle}) for n = 1..count."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    pts = []
-    x = QuadraticIrrational.from_rational(0)
-    for _ in range(count):
-        x = (x + angle).frac()
-        pts.append(x)
+    p, q = frac_points(angle, np.arange(1, count + 1))
+    pts = (QuadraticIrrational(int(a), int(b), angle.r, angle.d) for a, b in zip(p, q))
     return PointSequence(tuple(pts), origin=f"orbit({count})")
 
 
@@ -129,33 +129,48 @@ def _sorted_points(points) -> list:
     return sorted(_as_exact(x) for x in points)
 
 
+def _closed_form(n: int, top: int, bottom: int, y_top, y_bottom, witness_limit: int):
+    """Report from the maximizers top of (i+1)/N - y_i and bottom of
+    y_j - j/N (0-based, points sorted).  The witness is [y_bottom, y_top] when
+    bottom <= top and the open gap (y_top, y_bottom) otherwise: a tie just
+    outside either end would contradict a maximizer, so the interval holds
+    exactly the points between them and its error is surplus + deficit."""
+    surplus = Fraction(top + 1, n) - y_top
+    deficit = y_bottom - Fraction(bottom, n)
+    closed = bottom <= top
+    lo, hi = (y_bottom, y_top) if closed else (y_top, y_bottom)
+    witness = (lo, closed, hi, closed) if n <= witness_limit else None
+    return DiscrepancyReport(n, surplus + deficit, surplus, deficit, witness)
+
+
 def discrepancy(seq, witness_limit: int = 256) -> DiscrepancyReport:
     """Closed-form discrepancy over sorted points.
 
     D_N = max_i (i/N - y_i) + max_i (y_i - (i-1)/N) on the sorted sample;
     both maxima are nonnegative (the i = N term forces the first, i = 1
-    the second).  For N <= witness_limit a witness interval is located by
-    the same enumeration the brute-force oracle uses.
+    the second).  For N <= witness_limit the report carries a witness
+    interval (see `_closed_form`).
     """
     points = seq.points if isinstance(seq, PointSequence) else tuple(seq)
     ys = _sorted_points(points)
     n = len(ys)
     if n == 0:
         raise ValueError("discrepancy of an empty point set")
-    surplus = max(Fraction(i + 1, n) - y for i, y in enumerate(ys))
-    deficit = max(y - Fraction(i, n) for i, y in enumerate(ys))
-    value = surplus + deficit
-    witness = None
-    if n <= witness_limit:
-        _, witness = _bruteforce_on_sorted(ys)
-    return DiscrepancyReport(n, value, surplus, deficit, witness)
+    top = max(range(n), key=lambda i: Fraction(i + 1, n) - ys[i])
+    bottom = max(range(n), key=lambda i: ys[i] - Fraction(i, n))
+    return _closed_form(n, top, bottom, ys[top], ys[bottom], witness_limit)
 
 
-def _bruteforce_on_sorted(ys: list):
-    """Max |count/N - length| over intervals with endpoints at sample
-    points (or 0/1), each side independently open or closed.  A closed
-    right end / open left end stands for the half-open interval shaved
-    by an infinitesimal: it changes the count, not the length."""
+def discrepancy_bruteforce(seq):
+    """Oracle twin of :func:`discrepancy` (value only): max |count/N - length|
+    over intervals with endpoints at sample points (or 0/1), each side
+    independently open or closed.  A closed right end / open left end
+    stands for the half-open interval shaved by an infinitesimal: it
+    changes the count, not the length."""
+    points = seq.points if isinstance(seq, PointSequence) else tuple(seq)
+    ys = _sorted_points(points)
+    if not ys:
+        raise ValueError("discrepancy of an empty point set")
     n = len(ys)
     starts = [(Fraction(0), True)]
     ends = [(Fraction(1), False)]
@@ -165,7 +180,6 @@ def _bruteforce_on_sorted(ys: list):
         ends.append((y, False))    # ..., y)
         ends.append((y, True))     # ..., y]
     best = None
-    best_witness = None
     for g, g_closed in starts:
         lo = bisect_left(ys, g) if g_closed else bisect_right(ys, g)
         for d, d_closed in ends:
@@ -177,17 +191,6 @@ def _bruteforce_on_sorted(ys: list):
             err = abs(Fraction(hi - lo, n) - (d - g))
             if best is None or err > best:
                 best = err
-                best_witness = (g, g_closed, d, d_closed)
-    return best, best_witness
-
-
-def discrepancy_bruteforce(seq):
-    """Oracle twin of :func:`discrepancy` (value only)."""
-    points = seq.points if isinstance(seq, PointSequence) else tuple(seq)
-    ys = _sorted_points(points)
-    if not ys:
-        raise ValueError("discrepancy of an empty point set")
-    best, _ = _bruteforce_on_sorted(ys)
     return best
 
 
@@ -214,21 +217,27 @@ def rotation_discrepancy(
     quotient_bound: int | None = None,
     witness_limit: int = 256,
 ) -> DiscrepancyReport:
-    """Discrepancy of ({n*angle}), n = 1..N, with the log bound attached."""
+    """Discrepancy of ({n*angle}), n = 1..N, with the log bound attached.
+
+    The orbit stays integer numerators over angle.r: one exact sort, then
+    the two maximizers of the closed form by a float filter and an exact
+    decision among its near-ties; QIs are built only for reported values.
+    """
     if quotient_bound is None:
-        cf = cf_expand(angle)
-        quotient_bound = cf.quotient_bound
-    seq = rotation_orbit(angle, n_points)
-    rep = discrepancy(seq, witness_limit=witness_limit)
-    return DiscrepancyReport(
-        rep.n_points,
-        rep.value,
-        rep.surplus,
-        rep.deficit,
-        rep.witness,
-        bound=kn2_bound(n_points, quotient_bound),
-        quotient_bound=quotient_bound,
-    )
+        quotient_bound = cf_expand(angle).quotient_bound
+    if n_points < 1:
+        raise ValueError("count must be >= 1")
+    p, q = frac_points(angle, np.arange(1, n_points + 1))
+    order = exact_argsort(p, q, angle.d)
+    n, r, d = n_points, angle.r, angle.d
+    # (i+1)/N - y_i and y_i - i/N over the common denominator N*r, in Python
+    # ints because N*P can leave int64
+    p, q, i = (x.astype(object) for x in (p[order], q[order], np.arange(n)))
+    top = exact_argmax((i + 1) * r - n * p, -n * q, d)
+    bottom = exact_argmax(n * p - i * r, n * q, d)
+    y_top, y_bottom = (QuadraticIrrational(int(p[k]), int(q[k]), r, d) for k in (top, bottom))
+    rep = _closed_form(n, top, bottom, y_top, y_bottom, witness_limit)
+    return replace(rep, bound=kn2_bound(n, quotient_bound), quotient_bound=quotient_bound)
 
 
 def check_kn2(
@@ -264,40 +273,23 @@ class CertificateReport:
         return self.count_a * self.count_b
 
 
-_QUARTER = Fraction(1, 4)
-_HALF = Fraction(1, 2)
-
-
 def _half_angle_flags(angle: QuadraticIrrational, max_i: int):
-    """For i = 1..max_i: ({i*angle/2} in [1/4,1/2), {i*angle/2} <= 1/4)."""
-    half = angle / 2
-    x = QuadraticIrrational.from_rational(0)
-    in_band = []
-    in_quarter = []
-    for _ in range(max_i):
-        x = (x + half).frac()
-        in_band.append(_QUARTER <= x < _HALF)
-        in_quarter.append(x <= _QUARTER)
-    return in_band, in_quarter
+    """For i = 1..max_i: ({i*angle/2} in [1/4,1/2), {i*angle/2} <= 1/4).
+
+    t = floor(2*i*angle) - 4*floor(i*angle/2) = floor(4*{i*angle/2}), so the
+    band is t = 1 and the quarter t = 0 ({i*angle/2} = 1/4 needs a rational
+    angle, which the ASF sweep rejects).
+    """
+    ks = np.arange(1, max_i + 1)
+    t = floor_values(angle * 2, 0, ks) - 4 * floor_values(angle / 2, 0, ks)
+    return t == 1, t == 0
 
 
 def growth_certificate(angle: QuadraticIrrational, n: int) -> CertificateReport:
-    """Certificate at a single even n (asf_sum computed from scratch)."""
+    """Certificate at a single even n: the last row of the sweep."""
     if n < 2 or n % 2:
         raise ValueError("certificate is defined for even n >= 2")
-    in_band, in_quarter = _half_angle_flags(angle, n)
-    count_a = sum(in_band[: n // 2])
-    count_b = sum(
-        in_quarter[m - 1] for m in range(n // 2, n + 1) if m % 2 == 0
-    )
-    asf_sum = sum(sturmian_asf_range(angle, n).values())
-    report = CertificateReport(n, count_a, count_b, asf_sum)
-    if report.product > report.asf_sum:
-        raise AssertionError(
-            f"certificate violated at n={n}: "
-            f"{report.product} > {report.asf_sum}"
-        )
-    return report
+    return certificate_sweep(angle, n)[-1]
 
 
 def certificate_sweep(
@@ -306,31 +298,26 @@ def certificate_sweep(
     """Certificates for every even n <= max_n, sharing all arithmetic.
 
     One pass of half-angle flags gives both counts via prefix sums; one
-    incremental ASF sweep gives the cumulative sums.
+    ASF sweep gives the cumulative sums.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
     max_n -= max_n % 2
     in_band, in_quarter = _half_angle_flags(angle, max_n)
-    band_prefix = [0]
-    quarter_even_prefix = [0]  # over even indices only
-    for i in range(1, max_n + 1):
-        band_prefix.append(band_prefix[-1] + in_band[i - 1])
-        gain = in_quarter[i - 1] if i % 2 == 0 else 0
-        quarter_even_prefix.append(quarter_even_prefix[-1] + gain)
-
+    in_quarter[::2] = False  # keep even m only (flag m sits at index m - 1)
+    band_prefix = np.concatenate(([0], np.cumsum(in_band)))
+    quarter_prefix = np.concatenate(([0], np.cumsum(in_quarter)))
     asf = sturmian_asf_range(angle, max_n)
+    ns = np.arange(2, max_n + 1, 2)
+    count_a = band_prefix[ns // 2]
+    count_b = quarter_prefix[ns] - quarter_prefix[ns // 2 - 1]  # n/2 <= m <= n
+    running = np.cumsum([asf[n] for n in ns.tolist()])
     reports = []
-    running = 0
-    for n in range(2, max_n + 1, 2):
-        running += asf[n]
-        count_a = band_prefix[n // 2]
-        lo = n // 2 - 1  # count even m with n/2 <= m <= n
-        count_b = quarter_even_prefix[n] - quarter_even_prefix[lo]
-        report = CertificateReport(n, count_a, count_b, running)
+    for row in zip(ns.tolist(), count_a.tolist(), count_b.tolist(), running.tolist()):
+        report = CertificateReport(*row)
         if report.product > report.asf_sum:
             raise AssertionError(
-                f"certificate violated at n={n}: "
+                f"certificate violated at n={report.n}: "
                 f"{report.product} > {report.asf_sum}"
             )
         reports.append(report)

@@ -11,12 +11,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key, lru_cache
 from itertools import cycle, islice
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
+
+import numpy as np
 
 
+@lru_cache(maxsize=1024)
 def _split_square(d: int) -> tuple[int, int]:
-    """d = s**2 * d0 with d0 squarefree; returns (s, d0)."""
+    """d = s**2 * d0 with d0 squarefree; returns (s, d0).  Cached: the trial
+    division costs O(sqrt(d)), and a field's values all share one radicand."""
     if d < 0:
         raise ValueError("negative radicand")
     s, d0 = 1, d
@@ -31,6 +36,17 @@ def _split_square(d: int) -> tuple[int, int]:
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _numerator_sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d) by integer comparisons."""
+    if q == 0 or d == 0:
+        return _sign(p)
+    if p == 0:
+        return _sign(q)
+    if (p > 0) == (q > 0):
+        return _sign(p)
+    return _sign(p) * _sign(p * p - q * q * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,23 +178,8 @@ class QuadraticIrrational:
 
     # -- ordering ------------------------------------------------------
 
-    def _numerator_sign(self) -> int:
-        """Sign of p + q*sqrt(d) by integer comparisons."""
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return _sign(p)
-        if p == 0:
-            return _sign(q)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        if p > 0:  # q < 0: compare p with |q|*sqrt(d)
-            return _sign(p * p - q * q * d)
-        return _sign(q * q * d - p * p)
-
     def sign(self) -> int:
-        return self._numerator_sign()
+        return _numerator_sign(self.p, self.q, self.d)
 
     def _cmp(self, other) -> int:
         o = self._coerced(other)
@@ -249,6 +250,121 @@ QI = QuadraticIrrational
 PHI = QI(1, 1, 2, 5)  # golden ratio
 GOLDEN_ANGLE = PHI - 1  # (sqrt(5) - 1) / 2
 SILVER_ANGLE = QI.sqrt(2) - 1
+
+
+def as_qi(value) -> QuadraticIrrational:
+    if isinstance(value, QuadraticIrrational):
+        return value
+    return QuadraticIrrational.from_rational(value)
+
+
+# -- vectorized kernel ---------------------------------------------------------
+#
+# Many values of one field are held as integer arrays P, Q standing for
+# (P + Q*sqrt(d))/r with one r > 0.  The arrays are int64 while every value and
+# intermediate is provably below 2**62 in magnitude, and object arrays of
+# Python ints otherwise, so nothing wraps.  A float only proposes a square
+# root, an order or a maximum; an integer test confirms every decision.
+
+_INT64_SAFE = 2**62
+
+
+def _max_abs(x) -> int:
+    return int(np.abs(x).max()) if len(x) else 0
+
+
+def _widen(bound: int, *arrays):
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return [np.asarray(a).astype(dtype) for a in arrays]
+
+
+def floor_values(alpha, rho, ks) -> np.ndarray:
+    """Exact floor(k*alpha + rho) for every integer k of `ks`, as int64.
+
+    With alpha and rho in one field, k*alpha + rho = (A + B*sqrt(d))/R, and
+    s = isqrt(B*B*d) gives the floor (A + s) // R when B >= 0 and
+    (A - s - 1) // R when B < 0 (d is squarefree, so B*B*d is a square only
+    at B = 0).  s is a float square root corrected to s*s <= v < (s+1)**2.
+    """
+    rho = as_qi(rho)
+    alpha = rho._coerced(as_qi(alpha))  # raises unless one field
+    d = alpha.d or rho.d
+    big_r = alpha.r * rho.r // gcd(alpha.r, rho.r)
+    a, b = alpha.p * (big_r // alpha.r), alpha.q * (big_r // alpha.r)
+    a0, b0 = rho.p * (big_r // rho.r), rho.q * (big_r // rho.r)
+    ks = np.asarray(ks, dtype=np.int64)
+    k = _max_abs(ks)
+    b_bound = abs(b) * k + abs(b0)
+    (ks,) = _widen(max(b_bound * b_bound * d, abs(a) * k + abs(a0), big_r), ks)
+    big_a, big_b = a * ks + a0, b * ks + b0
+    v = big_b * big_b * d
+    if ks.dtype == object:
+        s = np.frompyfunc(isqrt, 1, 1)(v)
+    else:
+        s = np.sqrt(v.astype(np.float64)).astype(np.int64)  # isqrt(v) +- 1
+        s -= s * s > v
+        s += (s + 1) * (s + 1) <= v
+    return np.where(big_b >= 0, (big_a + s) // big_r, (big_a - s - 1) // big_r).astype(np.int64)
+
+
+def frac_points(alpha, ks) -> tuple[np.ndarray, np.ndarray]:
+    """{k*alpha} for every k of `ks` as numerators (P, Q) over alpha.r:
+    {k*alpha} = (k*p - floor(k*alpha)*r + k*q*sqrt(d)) / r."""
+    alpha = as_qi(alpha)
+    ks = np.asarray(ks, dtype=np.int64)
+    floors = floor_values(alpha, 0, ks)
+    bound = _max_abs(ks) * (abs(alpha.p) + abs(alpha.q)) + _max_abs(floors) * alpha.r
+    ks, floors = _widen(bound, ks, floors)
+    return ks * alpha.p - floors * alpha.r, ks * alpha.q
+
+
+def _with_norm(p, q, d: int):
+    """p and q, widened so that the norm p*p - q*q*d cannot wrap, and the norm."""
+    p, q = _widen(max(_max_abs(p) ** 2, _max_abs(q) ** 2 * d), p, q)
+    return p, q, p * p - q * q * d
+
+
+def _signs(p, q, d: int) -> np.ndarray:
+    """Exact sign of p + q*sqrt(d), elementwise."""
+    sp, sq, sn = ((x > 0).astype(np.int64) - (x < 0) for x in _with_norm(p, q, d))
+    return np.where(sp * sq >= 0, np.where(sp != 0, sp, sq), sp * sn)
+
+
+def _exact_key(p, q, d: int):
+    def compare(i, j):  # the exact sign of entry i minus entry j
+        return _numerator_sign(int(p[i]) - int(p[j]), int(q[i]) - int(q[j]), d)
+
+    return cmp_to_key(compare)
+
+
+def _approx(p, q, d: int) -> np.ndarray:
+    """p + q*sqrt(d) within 6 units of 2**-53 relative: where the two terms
+    cancel, as (p*p - q*q*d) / (p - q*sqrt(d)) with an exact numerator."""
+    p, q, norm = _with_norm(p, q, d)
+    fp, fq = p.astype(np.float64), q.astype(np.float64) * sqrt(d)
+    cancel = (fp > 0) != (fq > 0)
+    return np.where(cancel, norm.astype(np.float64) / np.where(cancel, fp - fq, 1.0), fp + fq)
+
+
+def exact_argsort(p, q, d: int) -> np.ndarray:
+    """Indices that sort the values (p + q*sqrt(d))/r ascending (one r > 0).
+
+    A float key proposes the order and an exact sign test checks every
+    adjacent pair; if any pair fails, an exact comparison sort decides.
+    """
+    order = np.argsort(_approx(p, q, d), kind="stable")
+    if (_signs(np.diff(p[order]), np.diff(q[order]), d) >= 0).all():
+        return order
+    return np.array(sorted(range(len(p)), key=_exact_key(p, q, d)), dtype=np.int64)
+
+
+def exact_argmax(p, q, d: int) -> int:
+    """First index of the largest value (p + q*sqrt(d))/r (one r > 0): the
+    float maximum names the near-ties, and exact comparisons pick among them."""
+    approx = _approx(p, q, d)
+    slack = 2.0**-46 * np.abs(approx).max()  # over twice the error of a difference
+    near = np.flatnonzero(approx >= approx.max() - slack)
+    return int(max(near, key=_exact_key(p, q, d)))
 
 
 # -- continued fractions ----------------------------------------------------

@@ -16,6 +16,7 @@ burning hours.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -198,23 +199,26 @@ def _checkpoint_header(sigma, length, objective, witness_cap) -> dict:
 
 
 def _load_checkpoint(path: Path, header: dict) -> dict:
-    done = {}
+    """Shard records by prefix.  A final line with no newline that does not
+    parse is a write cut short and is dropped; any other bad line is an error."""
     if not path.exists():
-        return done
-    with path.open() as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        return done
-    existing = json.loads(lines[0])
-    if existing != header:
+        return {}
+    lines = path.read_text().splitlines(keepends=True)
+    records = []
+    for number, line in enumerate(lines, 1):
+        try:
+            if line.strip():
+                records.append(json.loads(line))
+        except ValueError as exc:
+            if number == len(lines) > 1 and not line.endswith("\n"):
+                break
+            raise ValueError(f"checkpoint {path} line {number} is corrupt: {exc}") from None
+    if records and records[0] != header:
         raise ValueError(
             f"checkpoint {path} was written for different parameters: "
-            f"{existing}"
+            f"{records[0]}"
         )
-    for line in lines[1:]:
-        rec = json.loads(line)
-        done[rec["prefix"]] = rec
-    return done
+    return {rec["prefix"]: rec for rec in records[1:]}
 
 
 # -- drivers -------------------------------------------------------------
@@ -301,15 +305,10 @@ def _search(
     else:
         new_records = [_shard_worker(job) for job in jobs]
 
-    if path:
-        fresh = not path.exists() or not done
-        with path.open("w" if fresh else "a") as fh:
-            if fresh:
-                fh.write(json.dumps(header) + "\n")
-                for rec in done.values():
-                    fh.write(json.dumps(rec) + "\n")
-            for rec in new_records:
-                fh.write(json.dumps(rec) + "\n")
+    if path:  # rewritten whole and swapped in, so a torn tail is never appended to
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text("\n".join(map(json.dumps, [header, *done.values(), *new_records])) + "\n")
+        os.replace(tmp, path)
 
     by_prefix = dict(done)
     for rec in new_records:

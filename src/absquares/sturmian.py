@@ -7,30 +7,30 @@ each n, the letter coded by the interval containing {rho + n*alpha}:
 * right convention: letter b on (0, 1-alpha],   a on (1-alpha, 1]
   (the orbit point 0 is identified with 1)
 
-All point arithmetic is exact (`quadratic.QuadraticIrrational`), so interval
-membership at the discontinuities is decided correctly.  The number of
-distinct abelian-square factors of each even length n has a purely arithmetic
+All point arithmetic is exact (the integer kernel of `quadratic`), so
+interval membership at the discontinuities is decided correctly.  The number
+of distinct abelian-square factors of each even length n has a purely arithmetic
 expression over the orbit points {-i*alpha}, i <= n (`sturmian_asf`), which
 the combinatorial counting engine must reproduce on prefixes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from .quadratic import GOLDEN_ANGLE, QuadraticIrrational
+import numpy as np
+
+from .quadratic import (
+    GOLDEN_ANGLE,
+    QuadraticIrrational,
+    as_qi,
+    exact_argsort,
+    floor_values,
+    frac_points,
+)
 from .words import BINARY_AB, ParikhVector, Word
 
 CONVENTIONS = ("left", "right")
-
-_A, _B = 0, 1  # letter indices in the display alphabet "ab"
-
-
-def _as_point(value) -> QuadraticIrrational:
-    if isinstance(value, QuadraticIrrational):
-        return value
-    return QuadraticIrrational.from_rational(value)
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class SturmianSpec:
     convention: str = "left"
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", _as_point(self.angle))
-        object.__setattr__(self, "rho", _as_point(self.rho))
+        object.__setattr__(self, "angle", as_qi(self.angle))
+        object.__setattr__(self, "rho", as_qi(self.rho))
         if self.angle.is_rational:
             raise ValueError("angle must be irrational")
         if not (0 < self.angle < 1):
@@ -55,25 +55,20 @@ class SturmianSpec:
 
 
 def sturmian_prefix(spec: SturmianSpec, length: int) -> Word:
-    """First `length` letters of the rotation coding, over the alphabet ab."""
+    """First `length` letters of the rotation coding, over the alphabet ab.
+
+    Letter n is a exactly when floor((n+1)*alpha + rho) - floor(n*alpha + rho)
+    is 1, i.e. when {n*alpha + rho} lies in [1-alpha, 1); ceilings in place of
+    floors give the right convention (Lothaire, ch. 2, mechanical words).
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
-    alpha = spec.angle
-    cut = 1 - alpha
-    right = spec.convention == "right"
-    x = spec.rho
-    out = bytearray()
-    for _ in range(length):
-        if right:
-            # x == 0 plays the role of 1, which lies in the 'a' interval
-            is_b = x != 0 and x <= cut
-        else:
-            is_b = x < cut
-        out.append(_B if is_b else _A)
-        x = x + alpha
-        if x >= 1:
-            x = x - 1
-    return Word(BINARY_AB, bytes(out))
+    ks = np.arange(length + 1)
+    if spec.convention == "right":
+        steps = -floor_values(-spec.angle, -spec.rho, ks)
+    else:
+        steps = floor_values(spec.angle, spec.rho, ks)
+    return Word(BINARY_AB, (1 - np.diff(steps)).astype(np.uint8).tobytes())
 
 
 def fibonacci_word(length: int) -> Word:
@@ -84,16 +79,11 @@ def fibonacci_word(length: int) -> Word:
 # -- interval partition -----------------------------------------------------
 
 
-def _negative_orbit(alpha: QuadraticIrrational, n: int) -> list[QuadraticIrrational]:
-    """Points {-i*alpha} for i = 1..n, in orbit order."""
-    points = []
-    x = QuadraticIrrational.from_rational(0)
-    for _ in range(n):
-        x = x - alpha
-        if x < 0:
-            x = x + 1
-        points.append(x)
-    return points
+def _negative_orbit(alpha: QuadraticIrrational, n: int):
+    """Points {-i*alpha}, i = 1..n, as numerators (P, Q) over alpha.r, in
+    orbit order, with the indices that sort them."""
+    p, q = frac_points(alpha, -np.arange(1, n + 1))
+    return p, q, exact_argsort(p, q, alpha.d)
 
 
 @dataclass(frozen=True)
@@ -122,16 +112,15 @@ def interval_partition(alpha, n: int, convention: str = "left") -> IntervalParti
     discontinuity, so both conventions agree on it).  A cell is heavy exactly
     when it lies right of {-n*alpha}.
     """
-    alpha = _as_point(alpha)
+    alpha = as_qi(alpha)
     if alpha.is_rational or not (0 < alpha < 1):
         raise ValueError("angle must be irrational in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    orbit = _negative_orbit(alpha, n)
-    threshold = orbit[-1]  # {-n*alpha}
-    zero = QuadraticIrrational.from_rational(0)
-    one = QuadraticIrrational.from_rational(1)
-    points = [zero] + sorted(orbit) + [one]
+    p, q, order = _negative_orbit(alpha, n)
+    orbit = [QuadraticIrrational(int(p[i]), int(q[i]), alpha.r, alpha.d) for i in order]
+    threshold = orbit[int(np.flatnonzero(order == n - 1)[0])]  # {-n*alpha}
+    points = [as_qi(0)] + orbit + [as_qi(1)]
     entries = []
     for lo, hi in zip(points, points[1:]):
         mid = (lo + hi) / 2
@@ -144,7 +133,7 @@ def classify_parikh(alpha, n: int) -> list[tuple[Word, ParikhVector]]:
     """Parikh vector of each length-n factor, derived from its heavy/light
     class: light factors contain floor(n*alpha) letters a, heavy factors one
     more."""
-    alpha = _as_point(alpha)
+    alpha = as_qi(alpha)
     partition = interval_partition(alpha, n)
     light_a = (alpha * n).floor()
     out = []
@@ -162,42 +151,52 @@ def sturmian_asf(alpha, n: int) -> int:
     Sturmian word with the given angle, computed arithmetically: among the
     points {-i*alpha}, i = 1..n, count those <= {-n*alpha} when floor(n*alpha)
     is even, and those >= {-n*alpha} otherwise."""
-    alpha = _as_point(alpha)
+    alpha = as_qi(alpha)
     if alpha.is_rational or not (0 < alpha < 1):
         raise ValueError("angle must be irrational in (0, 1)")
     if n < 0 or n % 2 != 0:
         raise ValueError(f"length must be even and >= 0, got {n}")
     if n == 0:
         return 0
-    orbit = _negative_orbit(alpha, n)
-    threshold = orbit[-1]
-    if (alpha * n).floor() % 2 == 0:
-        return sum(1 for x in orbit if x <= threshold)
-    return sum(1 for x in orbit if x >= threshold)
+    _, _, order = _negative_orbit(alpha, n)
+    below = int(np.flatnonzero(order == n - 1)[0])  # points under {-n*alpha}
+    return below + 1 if (alpha * n).floor() % 2 == 0 else n - below
+
+
+def _smaller_before(ranks: np.ndarray) -> np.ndarray:
+    """For each i, the number of j < i with ranks[j] < ranks[i]: a bottom-up
+    merge count, where each level counts a right block's entries against the
+    sorted left block of its pair with one searchsorted."""
+    n = len(ranks)
+    out = np.zeros(n, dtype=np.int64)
+    idx = np.arange(n)
+    width = 1
+    while width < n:
+        start = idx // (2 * width) * n  # the keys of one pair lie in [start, start + n)
+        right = (idx // width) % 2 == 1
+        keys = start + ranks
+        left = np.sort(keys[~right], kind="stable")  # one sort kernel for the whole pass
+        out[right] += np.searchsorted(left, keys[right]) - np.searchsorted(left, start[right])
+        width *= 2
+    return out
 
 
 def sturmian_asf_range(alpha, max_n: int) -> dict[int, int]:
     """sturmian_asf for every even n <= max_n, sharing one sorted orbit.
 
-    Incremental version: inserting {-i*alpha} one at a time keeps the orbit
-    sorted, and each even step is answered with a binary search.
+    With the global ranks of {-i*alpha}, the count at n is read off the
+    number of earlier points below {-n*alpha}, found offline for all n.
     """
-    alpha = _as_point(alpha)
+    alpha = as_qi(alpha)
     if alpha.is_rational or not (0 < alpha < 1):
         raise ValueError("angle must be irrational in (0, 1)")
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    counts: dict[int, int] = {}
-    sorted_orbit: list[QuadraticIrrational] = []
-    x = QuadraticIrrational.from_rational(0)
-    for i in range(1, max_n + 1):
-        x = x - alpha
-        if x < 0:
-            x = x + 1
-        insort(sorted_orbit, x)
-        if i % 2 == 0:
-            if (alpha * i).floor() % 2 == 0:
-                counts[i] = bisect_right(sorted_orbit, x)
-            else:
-                counts[i] = len(sorted_orbit) - bisect_left(sorted_orbit, x)
-    return counts
+    if max_n < 2:
+        return {}
+    _, _, order = _negative_orbit(alpha, max_n)
+    below = _smaller_before(np.argsort(order, kind="stable"))  # the inverse permutation
+    ns = np.arange(2, max_n + 1, 2)
+    even = floor_values(alpha, 0, ns) % 2 == 0
+    counts = np.where(even, below[ns - 1] + 1, ns - below[ns - 1])
+    return dict(zip(ns.tolist(), counts.tolist()))

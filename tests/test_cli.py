@@ -179,6 +179,35 @@ class TestSearchCommands:
     def test_search_over_budget(self, capsys):
         assert main(["search", "max-asf", "--sigma", "2", "--len", "30"]) == 1
 
+    def test_resume_after_torn_final_line(self, capsys, tmp_path):
+        search = ["search", "max-asf", "--sigma", "2", "--len", "12"]
+        assert main([*search, "--output", str(tmp_path / "whole.json")]) == 0
+        checkpoint = tmp_path / "shards.jsonl"
+        resume = [*search, "--checkpoint", str(checkpoint), "--output", str(tmp_path / "resumed.json")]
+        assert main(resume) == 0
+        lines = checkpoint.read_text().splitlines(keepends=True)
+        cut = "".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2]  # a write cut short
+        checkpoint.write_text(cut)
+        assert main(resume) == 0
+        assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+        assert checkpoint.read_text() == "".join(lines)
+
+    @pytest.mark.parametrize("torn", ["header", "middle"])
+    def test_torn_header_or_middle_line_rejected(self, capsys, tmp_path, torn):
+        checkpoint = tmp_path / "shards.jsonl"
+        search = ["search", "max-asf", "--sigma", "2", "--len", "10", "--checkpoint", str(checkpoint)]
+        assert main(search) == 0
+        lines = checkpoint.read_text().splitlines(keepends=True)
+        if torn == "header":
+            checkpoint.write_text(lines[0][:20])
+        else:
+            checkpoint.write_text("".join(lines[:2]) + lines[2][:20] + "\n" + "".join(lines[3:]))
+        capsys.readouterr()
+        assert main(search) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: checkpoint {checkpoint} line {1 if torn == 'header' else 3} is corrupt")
+
     def test_compare_csv(self, capsys):
         code, out = run(
             capsys, "search", "compare", "--len", "6", "--format", "csv"

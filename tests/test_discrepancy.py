@@ -22,6 +22,17 @@ from absquares.discrepancy import (
 from absquares.quadratic import GOLDEN_ANGLE, QI, SILVER_ANGLE
 
 
+def witness_error(points, witness):
+    """|count/N - length| of the witness interval on the points."""
+    g, g_closed, d, d_closed = witness
+    inside = sum(
+        1
+        for y in points
+        if (g <= y if g_closed else g < y) and (y <= d if d_closed else y < d)
+    )
+    return abs(Fraction(inside, len(points)) - (d - g))
+
+
 class TestPointSequence:
     def test_points_must_live_in_unit_interval(self):
         with pytest.raises(ValueError):
@@ -91,6 +102,27 @@ class TestDiscrepancy:
             seq = rotation_orbit(angle, n)
             assert discrepancy(seq).value == discrepancy_bruteforce(seq)
 
+    def test_witness_rule_attains_bruteforce_on_random_rationals_with_ties(self):
+        rng = random.Random(300)
+        for _ in range(300):
+            denom = rng.choice([2, 3, 5, 8, 13])
+            pts = [Fraction(rng.randrange(denom), denom) for _ in range(rng.randint(1, 30))]
+            report = discrepancy(PointSequence(tuple(pts), "random"))
+            assert witness_error(pts, report.witness) == report.value
+            assert report.value == discrepancy_bruteforce(pts)
+
+    @pytest.mark.parametrize("n", [5, 50, 100, 200])
+    def test_witness_rule_attains_bruteforce_on_golden_orbits(self, n):
+        report = rotation_discrepancy(GOLDEN_ANGLE, n)
+        pts = rotation_orbit(GOLDEN_ANGLE, n).points
+        assert witness_error(pts, report.witness) == report.value
+        assert report.value == discrepancy_bruteforce(pts)
+
+    def test_witness_only_up_to_the_limit(self):
+        assert rotation_discrepancy(GOLDEN_ANGLE, 300).witness is None
+        assert rotation_discrepancy(GOLDEN_ANGLE, 300, witness_limit=300).witness is not None
+        assert rotation_discrepancy(GOLDEN_ANGLE, 20, witness_limit=0).witness is None
+
     def test_more_points_do_not_hurt_much(self):
         # equidistribution: D_N -> 0 along the golden orbit
         d_small = rotation_discrepancy(GOLDEN_ANGLE, 10).value
@@ -125,6 +157,11 @@ class TestCertificate:
         assert (report.count_a, report.count_b) == (5, 3)
         assert report.product == 15
         assert report.asf_sum == 180
+
+    @pytest.mark.parametrize("angle", [GOLDEN_ANGLE, SILVER_ANGLE])
+    @pytest.mark.parametrize("n", [2, 36, 500])
+    def test_single_certificate_is_last_sweep_row(self, angle, n):
+        assert growth_certificate(angle, n) == certificate_sweep(angle, n)[-1]
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):

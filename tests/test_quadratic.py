@@ -1,10 +1,12 @@
 """Exact quadratic-irrational arithmetic and continued fractions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from absquares import quadratic
 from absquares.quadratic import (
     GOLDEN_ANGLE,
     PHI,
@@ -28,6 +30,37 @@ qi_values = st.builds(
     st.integers(-8, 8),
     st.integers(1, 7),
 )
+
+
+def field_results(raw_pairs):
+    """Canonical forms of the four operations on each pair of raw (p, q, r, d)."""
+    out = []
+    for x, y in raw_pairs:
+        a, b = QI(*x), QI(*y)
+        results = [a + b, a - b, a * b] + ([a / b] if b.sign() else [])
+        out.append([v.as_tuple() for v in results])
+    return out
+
+
+class TestSquareSplitCache:
+    def test_large_radicand_divides_once(self):
+        quadratic._split_square.cache_clear()
+        x = parse_angle("qi:(-31622,1,1,1000000007)")
+        y = ((x + 1) * x - x / 3 + x * x).frac()
+        assert y.d == 1000000007 and 0 < y < 1
+        assert quadratic._split_square.cache_info().misses == 1
+
+    def test_canonical_forms_unchanged(self, monkeypatch):
+        rng = random.Random(7)
+        raw = []
+        for _ in range(300):
+            d = rng.choice([2, 8, 12, 18, 50, 72, 1000000007, rng.randint(2, 10**5)])
+            raw.append(tuple(
+                (rng.randint(-50, 50), rng.randint(-9, 9), rng.randint(1, 9), d) for _ in "ab"
+            ))
+        cached = field_results(raw)
+        monkeypatch.setattr(quadratic, "_split_square", quadratic._split_square.__wrapped__)
+        assert field_results(raw) == cached
 
 
 class TestArithmetic:
