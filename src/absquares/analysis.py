@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .counting import FactorIndex, asf_profile, factor_counts_stable
+from .counting import CHUNK_LETTERS, FactorIndex, batch_counts, unstable_lengths
 from .words import BINARY_AB, Word
 
 __all__ = [
@@ -45,8 +46,8 @@ class InadequatePrefixError(ValueError):
     """The prefix is too short to speak for the infinite word."""
 
 
-def _require_adequate(prefix: Word, lengths) -> None:
-    bad = [n for n in lengths if not factor_counts_stable(prefix, [n])]
+def _require_adequate(prefix: Word, lengths, index: FactorIndex) -> None:
+    bad = unstable_lengths(prefix, lengths, index)
     if bad:
         raise InadequatePrefixError(
             f"factor counts not stabilized for lengths {bad}; "
@@ -106,18 +107,18 @@ def richness_report(prefix: Word, lengths, check_adequacy: bool = True) -> Richn
         raise ValueError("lengths must be >= 2")
     if lengths[-1] > len(prefix):
         raise ValueError("length grid exceeds the prefix")
-    if check_adequacy:
-        _require_adequate(prefix, lengths)
     index = FactorIndex(prefix)
+    if check_adequacy:
+        _require_adequate(prefix, lengths, index)
+    letters = prefix.to_array()
     avg_per_n: dict = {}
     min_per_n: dict = {}
     recurrence_table: dict = {}
     for n in lengths:
-        totals = [
-            _asf_total(factor) for factor in index.distinct_factors(n)
-        ]
-        avg_per_n[n] = Fraction(sum(totals), len(totals))
-        min_per_n[n] = min(totals)
+        factors = sliding_window_view(letters, n)[index.representative_positions(n)]
+        totals = batch_counts(factors, prefix.alphabet.size).sum(axis=1)
+        avg_per_n[n] = Fraction(int(totals.sum()), totals.size)
+        min_per_n[n] = int(totals.min())
         recurrence_table[n] = recurrence_index_estimate(prefix, n, index=index)
     quotient = max(recurrence_table[n] / n for n in lengths)
     return RichnessReport(
@@ -187,7 +188,7 @@ def triple_block(n: int) -> TripleBlockReport:
         raise ValueError("n must be >= 1")
     block = "a" * n
     word = Word.from_text(block + "b" + block + "b" + block, BINARY_AB)
-    total = _asf_total(word)
+    total = int(batch_counts(word.to_array()[None], 2).sum())
     bound = ((n + 1) ** 2 + 1) // 2
     if total < bound:
         raise AssertionError(
@@ -212,8 +213,13 @@ class RandomBaselineReport:
             yield {"n": n, "mean": mean, "stddev": std}
 
 
-def _asf_total(word: Word) -> int:
-    return asf_profile(word, len(word) - (len(word) % 2)).total
+def _baseline_rows(rng, n: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of a baseline as a (hi - lo, n) letter array: the words
+    whose binary codes they are when `rng` is None (exhaustive mode), else
+    one draw per trial, so the stream is that of counting each word alone."""
+    if rng is None:
+        return ((np.arange(lo, hi)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    return np.stack([rng.integers(0, 2, size=n, dtype=np.uint8) for _ in range(lo, hi)])
 
 
 def random_baseline(
@@ -229,34 +235,25 @@ def random_baseline(
     lengths = tuple(sorted(set(int(n) for n in lengths)))
     if not lengths or lengths[0] < 1:
         raise ValueError("lengths must be positive")
-    means = []
-    stds = []
-    if trials is None:
-        for n in lengths:
-            if n > 20:
-                raise ValueError("exhaustive mode is for small lengths")
-            totals = []
-            for bits in range(1 << n):
-                text = format(bits, f"0{n}b").translate(
-                    str.maketrans("01", "ab")
-                )
-                totals.append(_asf_total(Word.from_text(text, BINARY_AB)))
-            mean = Fraction(sum(totals), len(totals))
-            var = Fraction(
-                sum((t - mean) ** 2 for t in totals), len(totals)
-            )
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = None if trials is None else np.random.default_rng(seed)
+    means, stds = [], []
+    for n in lengths:
+        if trials is None and n > 20:
+            raise ValueError("exhaustive mode is for small lengths")
+        count = 1 << n if trials is None else trials
+        group = max(1, CHUNK_LETTERS // n)  # rows drawn and counted together
+        totals = np.concatenate([
+            batch_counts(_baseline_rows(rng, n, lo, min(lo + group, count)), 2).sum(axis=1)
+            for lo in range(0, count, group)
+        ])
+        if trials is None:
+            mean = Fraction(int(totals.sum()), totals.size)
             means.append(mean)
-            stds.append(float(math.sqrt(var)))
-    else:
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        rng = np.random.default_rng(seed)
-        for n in lengths:
-            totals = np.empty(trials, dtype=np.int64)
-            for t in range(trials):
-                letters = rng.integers(0, 2, size=n, dtype=np.uint8)
-                word = Word(BINARY_AB, letters.tobytes())
-                totals[t] = _asf_total(word)
+            var = sum((int(t) - mean) ** 2 for t in totals) / totals.size
+            stds.append(math.sqrt(var))
+        else:
             means.append(float(totals.mean()))
             stds.append(float(totals.std()))
     exponent = None

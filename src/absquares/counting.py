@@ -2,9 +2,10 @@
 
 Two independent routes are kept side by side:
 
-* the engine (`asf_profile`, `inequivalent_profile`): a suffix array gives
-  one representative occurrence per distinct factor, and an O(1) prefix-count
-  test decides whether the two halves share a Parikh vector;
+* the engine: a suffix array gives one representative occurrence per
+  distinct factor, and an O(1) prefix-count test decides whether the two
+  halves share a Parikh vector, for one long word (`FactorIndex`,
+  `asf_profile`, `inequivalent_profile`) or many short ones (`batch_counts`);
 * the oracle (`asf_profile_brute`, `inequivalent_profile_brute`): transparent
   enumeration of all substrings with explicit per-letter counting.
 
@@ -21,49 +22,77 @@ import numpy as np
 
 from .words import Word
 
-
-# -- suffix array -----------------------------------------------------------
-
-
-def _suffix_array_naive(data: bytes) -> np.ndarray:
-    return np.array(sorted(range(len(data)), key=lambda i: data[i:]), dtype=np.int64)
+# `batch_counts` takes its rows in chunks of at most this many letters, so
+# the ranks it keeps and its temporaries stay under a megabyte: with 2^14 a
+# `baseline` process peaked 1 MB higher than the per-word engine, with 2^15 3 MB.
+CHUNK_LETTERS = 1 << 13
 
 
-def _suffix_array_doubling(arr: np.ndarray) -> np.ndarray:
-    """Rank-doubling suffix array, O(n log n) with numpy sorts."""
-    n = arr.size
-    rank = arr.astype(np.int64)
-    k = 1
+# -- suffix sorting ---------------------------------------------------------
+
+
+def _doubling(letters: np.ndarray):
+    """Prefix doubling (Manber & Myers) on every row of a (W, n) letter array.
+
+    Yields (order, rank) after each round k: rank[w, i] ranks the first 2^k
+    letters of suffix i in row w densely from 1 (0 is past the end), from
+    one stable argsort per row of the key rank * base + rank 2^(k-1) letters
+    on.  The last round, with distinct ranks, has each row's suffix array.
+    """
+    rank = letters.astype(np.int32) + 1
+    w, n = rank.shape
+    base = np.int64(max(n, int(rank.max(initial=0))) + 1)
+    row_start = np.arange(w)[:, None] * n
+    shift = 1
     while True:
-        second = np.full(n, -1, dtype=np.int64)
-        if k < n:
-            second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        r1 = rank[order]
-        r2 = second[order]
-        changed = np.empty(n, dtype=np.int64)
-        changed[0] = 0
-        if n > 1:
-            changed[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.cumsum(changed)
-        if new_rank[order[-1]] == n - 1:
-            return order.astype(np.int64)
-        rank = new_rank
-        k *= 2
+        key = rank.astype(np.int64)  # int64 whatever numpy's casting rules
+        key *= base
+        key[:, : n - shift] += rank[:, shift:]
+        order = np.argsort(key, axis=1, kind="stable")
+        at = (order + row_start).ravel()
+        key = key.ravel()[at].reshape(w, n)
+        fresh = np.ones(key.shape, dtype=np.int32)
+        fresh[:, 1:] = key[:, 1:] != key[:, :-1]
+        np.cumsum(fresh, axis=1, out=fresh)
+        rank = np.empty_like(fresh)
+        rank.ravel()[at] = fresh.ravel()
+        yield order, rank
+        if n == 0 or (fresh[:, -1] == n).all():
+            return
+        shift *= 2
 
 
 def build_suffix_array(data: bytes) -> np.ndarray:
-    if len(data) == 0:
-        return np.empty(0, dtype=np.int64)
-    if len(data) < 64:
-        return _suffix_array_naive(data)
-    return _suffix_array_doubling(np.frombuffer(data, dtype=np.uint8))
+    """Suffix array of one word: the doubling rounds on one row."""
+    for order, _ in _doubling(np.frombuffer(data, dtype=np.uint8)[None]):
+        pass
+    return order[0]
+
+
+def _lcp_by_start(letters: np.ndarray, order: np.ndarray, ranks: list) -> np.ndarray:
+    """lcp[w, i]: the longest common prefix of suffix i of row w with the one
+    before it in the row's suffix order (0 for the first), from the ranks of
+    every doubling round: going down from the top round, add 2^k wherever
+    the round-k ranks agree.  Two suffixes share a round-k rank only if both
+    hold 2^k more letters, so the descent stops at a row's end, a 0."""
+    w, n = letters.shape
+    row_start = np.arange(w)[:, None] * (n + 1)
+    a = (order[:, :-1] + row_start).ravel()
+    b = (order[:, 1:] + row_start).ravel()
+    common = np.zeros(a.size, dtype=np.int64)
+    padded = np.zeros((w, n + 1), dtype=np.int32)
+    for k in range(len(ranks) - 1, -1, -1):
+        padded[:, :n] = ranks[k - 1] if k else letters.astype(np.int32) + 1
+        common += (padded.ravel()[a + common] == padded.ravel()[b + common]) * (1 << k)
+    lcp = np.zeros(w * n, dtype=np.int64)
+    lcp[(order[:, 1:] + np.arange(w)[:, None] * n).ravel()] = common
+    return lcp.reshape(w, n)
 
 
 def lcp_array(data: bytes, sa: np.ndarray) -> np.ndarray:
     """Kasai's algorithm; lcp[i] is the common-prefix length of the suffixes
-    at sa[i-1] and sa[i] (lcp[0] = 0)."""
+    at sa[i-1] and sa[i] (lcp[0] = 0).  For one long word, where keeping
+    every doubling round's ranks for `_lcp_by_start` would cost too much."""
     n = len(data)
     lcp = np.zeros(n, dtype=np.int64)
     if n == 0:
@@ -85,6 +114,78 @@ def lcp_array(data: bytes, sa: np.ndarray) -> np.ndarray:
     return lcp
 
 
+# -- the abelian-square test ------------------------------------------------
+
+
+def _prefix_counts(letters: np.ndarray, sigma: int) -> np.ndarray:
+    """(sigma - 1, W, n + 1) per-letter prefix counts of a (W, n) letter
+    array; the last letter's count follows from the length."""
+    w, n = letters.shape
+    counts = np.zeros((max(sigma - 1, 0), w, n + 1), dtype=np.int32)
+    for letter in range(sigma - 1):
+        np.cumsum(letters == letter, axis=1, out=counts[letter, :, 1:])
+    return counts
+
+
+def _abelian_squares(prefix: np.ndarray, starts, m: int):
+    """(square, half) for the length-m factors at `starts`, an index array or
+    a slice of positions on the last axis of `prefix`: whether the two
+    halves share a Parikh vector, and the first half's vector."""
+    if isinstance(starts, slice):
+        lo, mid, hi = (prefix[..., starts.start + k : starts.stop + k] for k in (0, m // 2, m))
+    else:
+        lo, mid, hi = (prefix[..., starts + k] for k in (0, m // 2, m))
+    half = mid - lo
+    return (half == hi - mid).all(axis=0), half
+
+
+def _classes_per_row(keep: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Number of distinct vectors half[:, w, s] over the kept s of each row
+    w.  Row and vector are packed into one int64 key, row first, in base
+    max + 1; should the next digit not fit, the key is replaced by its rank."""
+    rows, cols = np.nonzero(keep)  # rows come out sorted
+    key = rows.astype(np.int64)
+    base = int(half.max(initial=0)) + 1
+    for digits in half:
+        if key.size and int(key.max()) >= (1 << 62) // base:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * base + digits[rows, cols]
+    key.sort()  # row first, so the sorted keys keep the rows' order
+    fresh = np.ones(key.size, dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    return np.bincount(rows[fresh], minlength=keep.shape[0])
+
+
+def batch_counts(words, sigma: int, inequivalent: bool = False) -> np.ndarray:
+    """Abelian-square counts of W words of one length L: column j of the
+    (W, L // 2) result counts, per row of the (W, L) letter array `words`,
+    the distinct abelian-square factors of length 2(j + 1), or with
+    `inequivalent` their Parikh classes.  A start whose LCP with the suffix
+    before it is below m holds the first occurrence of its length-m factor;
+    one prefix-count test per length covers all rows."""
+    words = np.asarray(words, dtype=np.uint8)
+    w, n = words.shape
+    out = np.zeros((w, n // 2), dtype=np.int64)
+    step = max(1, CHUNK_LETTERS // max(n, 1))
+    for lo in range(0, w, step):
+        chunk = words[lo : lo + step]
+        prefix = _prefix_counts(chunk, sigma)
+        if not inequivalent:  # classes need no deduplication of factors
+            ranks = []
+            for order, rank in _doubling(chunk):
+                ranks.append(rank)
+            lcp = _lcp_by_start(chunk, order, ranks)
+            del ranks
+        for m in range(2, n + 1, 2):
+            starts = slice(0, n - m + 1)
+            square, half = _abelian_squares(prefix, starts, m)
+            if inequivalent:
+                out[lo : lo + step, m // 2 - 1] = _classes_per_row(square, half)
+            else:
+                out[lo : lo + step, m // 2 - 1] = (square & (lcp[:, starts] < m)).sum(axis=1)
+    return out
+
+
 class FactorIndex:
     """Suffix-array view of one word: distinct factors, their representative
     occurrences, and per-letter prefix counts for O(1) Parikh queries."""
@@ -96,9 +197,7 @@ class FactorIndex:
         self.arr = word.to_array()
         self.sa = build_suffix_array(word.data)
         self.lcp = lcp_array(word.data, self.sa)
-        self.prefix_counts = np.zeros((self.sigma, self.n + 1), dtype=np.int64)
-        for letter in range(self.sigma):
-            np.cumsum(self.arr == letter, out=self.prefix_counts[letter, 1:])
+        self.prefix = _prefix_counts(self.arr[None], self.sigma)
 
     def representative_positions(self, length: int) -> np.ndarray:
         """Start position of the first occurrence (in suffix order) of each
@@ -107,7 +206,7 @@ class FactorIndex:
         if length < 0 or length > self.n:
             raise ValueError(f"factor length {length} out of range 0..{self.n}")
         if length == 0:
-            return np.zeros(1, dtype=np.int64) if self.n >= 0 else np.empty(0, np.int64)
+            return np.zeros(1, dtype=np.int64)
         long_enough = self.n - self.sa >= length
         new_factor = self.lcp < length
         return self.sa[long_enough & new_factor]
@@ -128,41 +227,20 @@ class FactorIndex:
         blocks = np.split(self.sa[valid], starts[1:])
         return [np.sort(b) for b in blocks]
 
-    def abelian_square_representatives(self, length: int) -> np.ndarray:
-        """Representatives of the distinct length-`length` factors whose two
-        halves share a Parikh vector (length must be even)."""
+    def _squares(self, length: int):
+        """`_abelian_squares` at the representatives of one even length."""
         if length % 2 != 0 or length < 2:
             raise ValueError(f"abelian squares have even positive length, got {length}")
-        reps = self.representative_positions(length)
-        half = length // 2
-        ok = np.ones(reps.size, dtype=bool)
-        # the last letter's count is implied by the others plus the length
-        for letter in range(self.sigma - 1):
-            c = self.prefix_counts[letter]
-            ok &= 2 * c[reps + half] - c[reps] - c[reps + length] == 0
-        return reps[ok]
+        return _abelian_squares(self.prefix, self.representative_positions(length), length)
 
     def abelian_square_count(self, length: int) -> int:
-        return int(self.abelian_square_representatives(length).size)
+        """Number of distinct abelian-square factors of the given length."""
+        return int(self._squares(length)[0].sum())
 
     def abelian_square_parikh_classes(self, length: int) -> int:
         """Number of distinct Parikh vectors among the abelian-square factors
         of the given length."""
-        reps = self.abelian_square_representatives(length)
-        if reps.size == 0:
-            return 0
-        cols = [
-            self.prefix_counts[letter][reps + length] - self.prefix_counts[letter][reps]
-            for letter in range(self.sigma - 1)
-        ]
-        if not cols:  # unary alphabet: a single class per length
-            return 1
-        if (length + 1) ** len(cols) < 2**62:
-            packed = cols[0].astype(np.int64)
-            for col in cols[1:]:
-                packed = packed * (length + 1) + col
-            return int(np.unique(packed).size)
-        return len({tuple(int(c[i]) for c in cols) for i in range(reps.size)})
+        return int(_classes_per_row(*self._squares(length))[0])
 
 
 # -- profiles ---------------------------------------------------------------
@@ -238,16 +316,18 @@ def distinct_factors(word: Word, length: int) -> list[Word]:
     return FactorIndex(word).distinct_factors(length)
 
 
+def unstable_lengths(word: Word, lengths, index: FactorIndex | None = None) -> list:
+    """Adequacy certificate for a prefix of an infinite word: the lengths at
+    which the distinct factor counts of the half prefix and the full prefix
+    differ.  `index` may hold the full prefix's index; each is built once."""
+    full = index if index is not None else FactorIndex(word)
+    half = FactorIndex(word[: len(word) // 2])
+    return [n for n in lengths if n > half.n or half.distinct_count(n) != full.distinct_count(n)]
+
+
 def factor_counts_stable(word: Word, lengths) -> bool:
-    """Adequacy certificate for a prefix of an infinite word: the distinct
-    factor counts must agree between the half prefix and the full prefix."""
-    half = word[: len(word) // 2]
-    full_idx = FactorIndex(word)
-    half_idx = FactorIndex(half)
-    return all(
-        n <= len(half) and half_idx.distinct_count(n) == full_idx.distinct_count(n)
-        for n in lengths
-    )
+    """True when no length in `lengths` is unstable (see `unstable_lengths`)."""
+    return not unstable_lengths(word, lengths)
 
 
 # -- brute-force oracles ----------------------------------------------------

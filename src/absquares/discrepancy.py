@@ -224,7 +224,10 @@ def rotation_discrepancy(
     decision among its near-ties; QIs are built only for reported values.
     """
     if quotient_bound is None:
-        quotient_bound = cf_expand(angle).quotient_bound
+        try:
+            quotient_bound = cf_expand(angle).quotient_bound
+        except ValueError as exc:
+            raise ValueError(f"{exc}; give the partial-quotient bound with --K") from None
     if n_points < 1:
         raise ValueError("count must be >= 1")
     p, q = frac_points(angle, np.arange(1, n_points + 1))

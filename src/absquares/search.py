@@ -15,12 +15,17 @@ burning hours.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .counting import CHUNK_LETTERS, asf_profile_brute, batch_counts, inequivalent_profile_brute
 from .words import Alphabet, Word, is_abelian_square
 
 __all__ = [
@@ -55,52 +60,7 @@ class VerificationError(RuntimeError):
 
 # -- objectives ----------------------------------------------------------
 
-
-def _distinct_total(data: bytes) -> int:
-    """Number of distinct factors (by content) that are abelian squares."""
-    n = len(data)
-    letters = set(data)
-    seen = set()
-    for m in range(2, n + 1, 2):
-        h = m // 2
-        for s in range(n - m + 1):
-            f = data[s : s + m]
-            if f in seen:
-                continue
-            for c in letters:
-                total = f.count(c)
-                if f.count(c, 0, h) * 2 != total:
-                    break
-            else:
-                seen.add(f)
-    return len(seen)
-
-
-def _inequivalent_total(data: bytes) -> int:
-    """Number of distinct Parikh classes among abelian-square factors.
-
-    Two abelian squares uv, u'v' are equivalent when their halves agree
-    as Parikh vectors, so a class is (length, Parikh of the half).
-    """
-    n = len(data)
-    letters = sorted(set(data))
-    classes = set()
-    for m in range(2, n + 1, 2):
-        h = m // 2
-        for s in range(n - m + 1):
-            e = s + m
-            key = tuple(data.count(c, s, s + h) for c in letters)
-            if all(
-                data.count(c, s, e) == 2 * k for c, k in zip(letters, key)
-            ):
-                classes.add((m, key))
-    return len(classes)
-
-
-_OBJECTIVES = {
-    OBJECTIVE_DISTINCT: _distinct_total,
-    OBJECTIVE_INEQUIVALENT: _inequivalent_total,
-}
+_OBJECTIVES = (OBJECTIVE_DISTINCT, OBJECTIVE_INEQUIVALENT)
 
 
 def witness_value(text: str, objective: str) -> int:
@@ -131,53 +91,68 @@ def witness_value(text: str, objective: str) -> int:
 # -- enumeration ---------------------------------------------------------
 
 
+def _extend_canonical(words: np.ndarray, sigma: int, length: int) -> np.ndarray:
+    """Every canonical extension to `length` of the canonical rows of
+    `words`, in lexicographic order: one letter at a time, each row gets a
+    child per letter up to one past the largest letter it has used."""
+    top = words.astype(np.int64).max(axis=1, initial=-1)
+    for _ in range(words.shape[1], length):
+        choices = np.minimum(top + 1, sigma - 1) + 1
+        parent = np.repeat(np.arange(len(words)), choices)
+        letter = np.arange(parent.size) - np.repeat(np.cumsum(choices) - choices, choices)
+        words = np.column_stack([words[parent], letter.astype(np.uint8)])
+        top = np.maximum(top[parent], letter)
+    return words
+
+
+def _canonical_blocks(sigma: int, length: int, prefix: bytes):
+    """The canonical words extending `prefix` as uint8 rows, in
+    lexicographic order, in blocks of at most about CHUNK_LETTERS letters
+    (more only when one word is longer)."""
+    if sigma < 1:
+        raise ValueError("alphabet must have at least one letter")
+    if max(prefix, default=-1) >= sigma:
+        raise ValueError("prefix uses letters outside the alphabet")
+    tail = 0
+    while sigma ** (tail + 1) * length <= CHUNK_LETTERS and tail < length - len(prefix):
+        tail += 1
+    start = np.frombuffer(bytes(prefix), dtype=np.uint8)[None]
+    for head in _extend_canonical(start, sigma, max(length - tail, len(prefix))):
+        yield _extend_canonical(head[None], sigma, length)
+
+
 def canonical_words(sigma: int, length: int, prefix: bytes = b""):
     """Yield length-`length` canonical words extending `prefix`.
 
     Canonical: letter k appears only after all letters below k; the
     yield order is lexicographic.  The prefix itself must be canonical.
     """
-    if sigma < 1:
-        raise ValueError("alphabet must have at least one letter")
-    max_used = max(prefix) if prefix else -1
-    if max_used >= sigma:
-        raise ValueError("prefix uses letters outside the alphabet")
-    word = bytearray(prefix)
-
-    def rec(max_used: int):
-        if len(word) == length:
-            yield bytes(word)
-            return
-        top = min(max_used + 1, sigma - 1)
-        for c in range(top + 1):
-            word.append(c)
-            yield from rec(max_used if c <= max_used else c)
-            word.pop()
-
-    yield from rec(max_used)
+    for block in _canonical_blocks(sigma, length, prefix):
+        yield from map(bytes, block)
 
 
 def _shard_worker(args) -> dict:
-    sigma, length, objective, prefix_bytes, witness_cap = args
-    evaluate = _OBJECTIVES[objective]
-    symbols = Alphabet.default(sigma).symbols
+    sigma, length, objective, prefix, name, witness_cap = args
+    symbols = np.array([ord(c) for c in Alphabet.default(sigma).symbols], dtype=np.uint8)
     best = -1
     witnesses: list[str] = []
     attaining = 0
     count = 0
-    for data in canonical_words(sigma, length, bytes(prefix_bytes)):
-        count += 1
-        value = evaluate(data)
-        if value > best:
-            best = value
-            attaining = 1
-            witnesses = ["".join(symbols[i] for i in data)]
-        elif value == best:
-            attaining += 1
-            if len(witnesses) < witness_cap:
-                witnesses.append("".join(symbols[i] for i in data))
+    for block in _canonical_blocks(sigma, length, prefix):
+        values = batch_counts(block, sigma, objective == OBJECTIVE_INEQUIVALENT).sum(axis=1)
+        count += len(values)
+        top = int(values.max())
+        if top < best:
+            continue
+        if top > best:
+            best, attaining, witnesses = top, 0, []
+        hits = np.flatnonzero(values == top)
+        attaining += hits.size
+        # the first attaining word is kept even at witness_cap 0
+        for row in hits[: max(witness_cap, 1) - len(witnesses)]:
+            witnesses.append(symbols[block[row]].tobytes().decode())
     return {
-        "prefix": "".join(symbols[i] for i in prefix_bytes),
+        "prefix": name,
         "best": best,
         "witnesses": witnesses,
         "attaining": attaining,
@@ -219,6 +194,17 @@ def _load_checkpoint(path: Path, header: dict) -> dict:
             f"{records[0]}"
         )
     return {rec["prefix"]: rec for rec in records[1:]}
+
+
+def _save_checkpoint(path: Path, header: dict, records) -> None:
+    """Rewrite the checkpoint whole: written and synced to a temporary file,
+    then swapped in, so a crash leaves the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.write("".join(json.dumps(rec) + "\n" for rec in [header, *records]))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 # -- drivers -------------------------------------------------------------
@@ -292,29 +278,25 @@ def _search(
     done = _load_checkpoint(path, header) if path else {}
 
     symbols = Alphabet.default(sigma).symbols
-    todo = [
-        p
-        for p in prefixes
-        if "".join(symbols[i] for i in p) not in done
-    ]
-    new_records = []
-    jobs = [(sigma, length, objective, p, witness_cap) for p in todo]
-    if workers and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            new_records = list(pool.map(_shard_worker, jobs))
-    else:
-        new_records = [_shard_worker(job) for job in jobs]
-
-    if path:  # rewritten whole and swapped in, so a torn tail is never appended to
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text("\n".join(map(json.dumps, [header, *done.values(), *new_records])) + "\n")
-        os.replace(tmp, path)
-
+    names = ["".join(symbols[i] for i in p) for p in prefixes]
     by_prefix = dict(done)
-    for rec in new_records:
-        by_prefix[rec["prefix"]] = rec
+    jobs = [
+        (sigma, length, objective, p, name, witness_cap)
+        for p, name in zip(prefixes, names)
+        if name not in done
+    ]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers and len(jobs) > 1 else None
+    with pool or contextlib.nullcontext():
+        # records come in shard order, each as soon as it and those before it are done
+        finished = pool.map(_shard_worker, jobs) if pool else map(_shard_worker, jobs)
+        if path:
+            _save_checkpoint(path, header, by_prefix.values())
+        for rec in finished:
+            by_prefix[rec["prefix"]] = rec
+            if path:
+                _save_checkpoint(path, header, by_prefix.values())
     # lexicographic shard order makes the merge order-independent
-    records = [by_prefix["".join(symbols[i] for i in p)] for p in prefixes]
+    records = [by_prefix[name] for name in names]
 
     maximum = max(rec["best"] for rec in records)
     witnesses: list[str] = []
@@ -386,25 +368,16 @@ def compare_alphabets(length: int, sigmas=(2, 3), **kwargs) -> AlphabetCompariso
 
 def full_enumeration_max(sigma: int, length: int, objective: str) -> tuple:
     """(maximum, attaining count) over ALL sigma^L words — no canonical
-    pruning.  Soundness oracle for the canonical search."""
-    evaluate = _OBJECTIVES[objective]
-    best = -1
-    attaining = 0
-    word = bytearray(length)
-
-    def rec(pos: int):
-        nonlocal best, attaining
-        if pos == length:
-            value = evaluate(bytes(word))
-            if value > best:
-                best = value
-                attaining = 1
-            elif value == best:
-                attaining += 1
-            return
-        for c in range(sigma):
-            word[pos] = c
-            rec(pos + 1)
-
-    rec(0)
-    return best, attaining
+    pruning.  Soundness oracle for the canonical search: every word goes
+    through the brute-force profiles of `counting`, not the batched engine."""
+    oracle = {
+        OBJECTIVE_DISTINCT: asf_profile_brute,
+        OBJECTIVE_INEQUIVALENT: inequivalent_profile_brute,
+    }[objective]
+    alphabet = Alphabet.default(sigma)
+    values = [
+        oracle(Word(alphabet, bytes(w)), length - length % 2).total
+        for w in itertools.product(range(sigma), repeat=length)
+    ]
+    best = max(values)
+    return best, values.count(best)

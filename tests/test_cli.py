@@ -125,6 +125,27 @@ class TestDiscrepancyCommands:
         assert doc["n_points"] == 100
         assert doc["quotient_bound"] == 1
 
+    def test_discrepancy_large_radicand_derives_k(self, capsys):
+        # the period of sqrt(1000000007) is 12,352 quotients long
+        angle = "qi:(-31622,1,1,1000000007)"
+        code, out = run(capsys, "discrepancy", "--angle", angle, "--N", "60")
+        assert code == 0
+        assert json.loads(out)["quotient_bound"] == 63244
+
+    def test_discrepancy_period_past_the_bound_points_at_k(self, capsys, monkeypatch):
+        import absquares.quadratic as quadratic
+
+        monkeypatch.setattr(quadratic, "cf_step_bound", lambda x: 100)
+        angle = ["--angle", "qi:(-31622,1,1,1000000007)", "--N", "60"]
+        assert main(["discrepancy", *angle]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: no period found within 100 steps; "
+            "give the partial-quotient bound with --K\n"
+        )
+        code, out = run(capsys, "discrepancy", *angle, "--K", "63244")
+        assert code == 0 and json.loads(out)["quotient_bound"] == 63244
+
     def test_certificate_sweep_csv(self, capsys):
         code, out = run(
             capsys, "certificate", "--angle", "cf:[0;|1]", "--n", "36", "--sweep",

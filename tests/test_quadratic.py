@@ -13,6 +13,7 @@ from absquares.quadratic import (
     QI,
     SILVER_ANGLE,
     cf_expand,
+    cf_step_bound,
     cf_value,
     convergents,
     parse_angle,
@@ -142,6 +143,55 @@ class TestContinuedFractions:
     def test_rational_rejected(self):
         with pytest.raises(ValueError):
             cf_expand(QI.from_rational(Fraction(3, 7)))
+
+    def test_step_bound_covers_preperiod_and_period(self):
+        rng = random.Random(409)
+        angles = [QI(-31622, 1, 1, 1000000007), GOLDEN_ANGLE, QI(5, -2, 7, 3)]
+        while len(angles) < 200:
+            x = QI(rng.randint(-60, 60), rng.choice([-3, -1, 1, 2]), rng.randint(1, 60), rng.randint(2, 1000))
+            if not x.is_rational:
+                angles.append(x)
+        for x in angles:
+            cf = cf_expand(x, max_steps=10**6)
+            assert len(cf.preperiod) + len(cf.period) + 1 <= cf_step_bound(x)
+        assert cf_expand(angles[0]) == cf_expand(angles[0], max_steps=10**6)
+        assert len(cf_expand(angles[0]).period) == 12352
+
+    def test_period_matches_first_repeat_of_any_quotient(self):
+        # reference: the period closes at the first complete quotient seen
+        # twice, found with a dict of all of them
+        def by_repeat(x):
+            a0 = x.floor()
+            y, seen, terms = (x - a0).inverse(), {}, []
+            while y not in seen:
+                seen[y] = len(terms)
+                terms.append(y.floor())
+                y = (y - terms[-1]).inverse()
+            j = seen[y]
+            return (a0, tuple(terms[:j]), tuple(terms[j:]))
+
+        rng = random.Random(1009)
+        for _ in range(300):
+            x = QI(rng.randint(-10**6, 10**6), rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3000), rng.randint(2, 300))
+            if not x.is_rational:
+                cf = cf_expand(x)
+                assert (cf.a0, cf.preperiod, cf.period) == by_repeat(x)
+
+    def test_step_bound_covers_preperiod_for_large_denominators(self):
+        # r | p^2 - d keeps the discriminant at 4d while r reaches 10^18
+        rng = random.Random(1013)
+        for _ in range(200):
+            d = rng.choice([2, 3, 5, 7, 13, 31, 43])
+            p = rng.choice([-1, 1]) * rng.randint(10**5, 10**9)
+            x = QI(p, rng.choice([-1, 1]), p * p - d, d)
+            cf = cf_expand(x, max_steps=10**5)
+            assert len(cf.preperiod) <= 2 + 3 * x.r.bit_length() // 2
+            assert len(cf.preperiod) + len(cf.period) + 1 <= cf_step_bound(x)
+            assert cf_value(cf) == x
+
+    def test_no_period_within_max_steps(self):
+        with pytest.raises(ValueError, match="no period found within 100 steps"):
+            cf_expand(QI(-31622, 1, 1, 1000000007), max_steps=100)
 
     def test_value_inverts_expand(self):
         for x in (GOLDEN_ANGLE, SILVER_ANGLE, QI.sqrt(7), PHI + 2, QI(5, -2, 7, 3)):

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+
+from absquares import search
 from hypothesis import given, strategies as st
 
 from absquares.search import (
@@ -124,6 +126,34 @@ class TestSearch:
         assert json.dumps(first.as_dict()) == json.dumps(resumed.as_dict())
         # nothing new was computed on resume
         assert path.read_text().count("\n") == lines_after_first
+
+    @pytest.mark.parametrize("done", [0, 1, 3, 7])
+    def test_interrupted_run_resumes_to_the_same_bytes(self, tmp_path, monkeypatch, done):
+        whole = tmp_path / "whole.jsonl"
+        expected = json.dumps(max_asf(2, 12, checkpoint=str(whole)).as_dict())
+
+        class Stop(Exception):
+            pass
+
+        finished = []
+
+        def stop_after_done(job):
+            if len(finished) == done:
+                raise Stop
+            finished.append(job)
+            return worker(job)
+
+        worker = search._shard_worker
+        path = tmp_path / "cut.jsonl"
+        monkeypatch.setattr(search, "_shard_worker", stop_after_done)
+        with pytest.raises(Stop):
+            max_asf(2, 12, checkpoint=str(path))
+        monkeypatch.setattr(search, "_shard_worker", worker)
+        # every shard that finished is on disk, whole lines only
+        assert path.read_text().count("\n") == 1 + done
+        resumed = max_asf(2, 12, checkpoint=str(path), workers=2 if done % 2 else 0)
+        assert json.dumps(resumed.as_dict()) == expected
+        assert path.read_bytes() == whole.read_bytes()
 
     def test_checkpoint_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "shards.jsonl"
