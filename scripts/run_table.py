@@ -25,7 +25,7 @@ def main() -> int:
 
     angle = parse_angle(args.angle)
     prefix = sturmian_prefix(SturmianSpec(angle, angle), args.prefix_len)
-    idx = FactorIndex(prefix)
+    idx = FactorIndex(prefix, args.max_n)
     for n in range(1, args.max_n + 1):
         if idx.distinct_count(n) != n + 1:
             print(f"prefix too short to exhaust length-{n} factors", file=sys.stderr)

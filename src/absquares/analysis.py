@@ -107,7 +107,7 @@ def richness_report(prefix: Word, lengths, check_adequacy: bool = True) -> Richn
         raise ValueError("lengths must be >= 2")
     if lengths[-1] > len(prefix):
         raise ValueError("length grid exceeds the prefix")
-    index = FactorIndex(prefix)
+    index = FactorIndex(prefix, lengths[-1])
     if check_adequacy:
         _require_adequate(prefix, lengths, index)
     letters = prefix.to_array()
@@ -148,11 +148,10 @@ def recurrence_index_estimate(
     if not 1 <= length <= len(prefix):
         raise ValueError("length out of range")
     if index is None:
-        index = FactorIndex(prefix)
+        index = FactorIndex(prefix, length)
     total = len(prefix)
     needed = length
-    for block in index.occurrence_blocks(length):
-        occ = np.sort(block)
+    for occ in index.occurrence_blocks(length):
         needed = max(needed, int(occ[0]) + length, total - int(occ[-1]))
         if len(occ) > 1:
             gap = int(np.diff(occ).max())

@@ -175,7 +175,7 @@ def _cmd_crosscheck(args) -> int:
     prefix = sturmian_prefix(SturmianSpec(angle, angle), args.prefix_len)
     from .counting import FactorIndex
 
-    index = FactorIndex(prefix)
+    index = FactorIndex(prefix, args.max_n)
     rows = []
     all_match = True
     for n in sorted(arithmetic):

@@ -22,95 +22,77 @@ import numpy as np
 
 from .words import Word
 
-# `batch_counts` takes its rows in chunks of at most this many letters, so
-# the ranks it keeps and its temporaries stay under a megabyte: with 2^14 a
-# `baseline` process peaked 1 MB higher than the per-word engine, with 2^15 3 MB.
+# `batch_counts` takes its rows, and `lcp_array` its pairs, in chunks of at
+# most this many, so the ranks kept and the temporaries stay under a megabyte:
+# with 2^14 a `baseline` process peaked 1 MB higher than the per-word engine,
+# with 2^15 3 MB.
 CHUNK_LETTERS = 1 << 13
 
 
 # -- suffix sorting ---------------------------------------------------------
 
 
-def _doubling(letters: np.ndarray):
-    """Prefix doubling (Manber & Myers) on every row of a (W, n) letter array.
+def build_suffix_array(letters: np.ndarray, depth: int):
+    """Prefix doubling (Manber & Myers) on every row of a (W, n) letter array,
+    stopped once it can tell apart every factor of length up to `depth`.
 
-    Yields (order, rank) after each round k: rank[w, i] ranks the first 2^k
-    letters of suffix i in row w densely from 1 (0 is past the end), from
-    one stable argsort per row of the key rank * base + rank 2^(k-1) letters
-    on.  The last round, with distinct ranks, has each row's suffix array.
+    Round k ranks the first 2^k letters of each suffix densely from 1, from
+    one stable argsort per row of the key rank * base + the rank 2^(k-1)
+    letters on.  Each row carries a column n past its end, of rank 0, which
+    sorts first.  The rounds stop after round R once 2^R > depth, or earlier
+    when every row's ranks are distinct.  Returns the int32 (W, n) order of
+    round R, which sorts each row's suffixes by their first 2^R letters (the
+    suffix array once the ranks are distinct), and the (W, n + 1) ranks of
+    rounds 0..R-1 for `lcp_array`, each in the smallest type that holds it.
     """
-    rank = letters.astype(np.int32) + 1
-    w, n = rank.shape
-    base = np.int64(max(n, int(rank.max(initial=0))) + 1)
-    row_start = np.arange(w)[:, None] * n
-    shift = 1
+    w, n = letters.shape
+    top = int(letters.max(initial=0)) + 1
+    rank = np.zeros((w, n + 1), dtype=np.min_scalar_type(top))
+    rank[:, :n] = letters
+    rank[:, :n] += 1
+    base = np.int64(max(n, top) + 1)
+    row_start = np.arange(w)[:, None] * (n + 1)
+    ranks = []
     while True:
+        ranks.append(rank)
+        shift = 1 << (len(ranks) - 1)
         key = rank.astype(np.int64)  # int64 whatever numpy's casting rules
         key *= base
-        key[:, : n - shift] += rank[:, shift:]
-        order = np.argsort(key, axis=1, kind="stable")
-        at = (order + row_start).ravel()
-        key = key.ravel()[at].reshape(w, n)
-        fresh = np.ones(key.shape, dtype=np.int32)
+        key[:, : n + 1 - shift] += rank[:, shift:]
+        order = key.argsort(axis=1, kind="stable")
+        order += row_start
+        at = order.ravel()
+        key = key.ravel()[at].reshape(w, n + 1)
+        fresh = np.zeros((w, n + 1), dtype=np.int32)
         fresh[:, 1:] = key[:, 1:] != key[:, :-1]
-        np.cumsum(fresh, axis=1, out=fresh)
-        rank = np.empty_like(fresh)
+        del key
+        fresh.cumsum(axis=1, out=fresh)
+        top = fresh[:, -1].tolist()  # distinct ranks per row
+        if 1 << len(ranks) > depth or min(top, default=n) == n:
+            order -= row_start
+            return order[:, 1:].astype(np.int32), ranks
+        rank = np.empty((w, n + 1), dtype=np.min_scalar_type(max(top)))
         rank.ravel()[at] = fresh.ravel()
-        yield order, rank
-        if n == 0 or (fresh[:, -1] == n).all():
-            return
-        shift *= 2
 
 
-def build_suffix_array(data: bytes) -> np.ndarray:
-    """Suffix array of one word: the doubling rounds on one row."""
-    for order, _ in _doubling(np.frombuffer(data, dtype=np.uint8)[None]):
-        pass
-    return order[0]
-
-
-def _lcp_by_start(letters: np.ndarray, order: np.ndarray, ranks: list) -> np.ndarray:
-    """lcp[w, i]: the longest common prefix of suffix i of row w with the one
-    before it in the row's suffix order (0 for the first), from the ranks of
-    every doubling round: going down from the top round, add 2^k wherever
-    the round-k ranks agree.  Two suffixes share a round-k rank only if both
-    hold 2^k more letters, so the descent stops at a row's end, a 0."""
-    w, n = letters.shape
-    row_start = np.arange(w)[:, None] * (n + 1)
-    a = (order[:, :-1] + row_start).ravel()
-    b = (order[:, 1:] + row_start).ravel()
-    common = np.zeros(a.size, dtype=np.int64)
-    padded = np.zeros((w, n + 1), dtype=np.int32)
-    for k in range(len(ranks) - 1, -1, -1):
-        padded[:, :n] = ranks[k - 1] if k else letters.astype(np.int32) + 1
-        common += (padded.ravel()[a + common] == padded.ravel()[b + common]) * (1 << k)
-    lcp = np.zeros(w * n, dtype=np.int64)
-    lcp[(order[:, 1:] + np.arange(w)[:, None] * n).ravel()] = common
-    return lcp.reshape(w, n)
-
-
-def lcp_array(data: bytes, sa: np.ndarray) -> np.ndarray:
-    """Kasai's algorithm; lcp[i] is the common-prefix length of the suffixes
-    at sa[i-1] and sa[i] (lcp[0] = 0).  For one long word, where keeping
-    every doubling round's ranks for `_lcp_by_start` would cost too much."""
-    n = len(data)
-    lcp = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return lcp
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
-    h = 0
-    for i in range(n):
-        r = rank[i]
-        if r > 0:
-            j = int(sa[r - 1])
-            while i + h < n and j + h < n and data[i + h] == data[j + h]:
-                h += 1
-            lcp[r] = h
-            if h > 0:
-                h -= 1
-        else:
-            h = 0
+def lcp_array(order: np.ndarray, ranks: list) -> np.ndarray:
+    """lcp[w, r]: the longest common prefix of the suffixes order[w, r - 1]
+    and order[w, r] of row w (0 for r = 0), capped at 2^len(ranks) - 1.
+    Going down from the top round k, add 2^k wherever the round-k ranks of
+    the two suffixes, that many letters on, agree.  Two suffixes share a
+    round-k rank only if both hold 2^k more letters, so the descent stops at
+    a row's end, a 0.  Columns go through CHUNK_LETTERS pairs at a time."""
+    w, n = order.shape
+    lcp = np.zeros((w, n), dtype=np.int32)
+    row_start = np.arange(w, dtype=np.int32)[:, None] * (n + 1)
+    step = max(1, CHUNK_LETTERS // max(w, 1))
+    for lo in range(1, n, step):
+        hi = min(lo + step, n)
+        a, b = order[:, lo - 1 : hi - 1] + row_start, order[:, lo:hi] + row_start
+        part = lcp[:, lo:hi]
+        for k in range(len(ranks) - 1, -1, -1):
+            flat = ranks[k].ravel()
+            np.add(part, 1 << k, out=part, where=flat[a + part] == flat[b + part])
     return lcp
 
 
@@ -134,7 +116,8 @@ def _abelian_squares(prefix: np.ndarray, starts, m: int):
     if isinstance(starts, slice):
         lo, mid, hi = (prefix[..., starts.start + k : starts.stop + k] for k in (0, m // 2, m))
     else:
-        lo, mid, hi = (prefix[..., starts + k] for k in (0, m // 2, m))
+        lo = prefix.take(starts, axis=-1)
+        mid, hi = prefix.take(starts + m // 2, axis=-1), prefix.take(starts + m, axis=-1)
     half = mid - lo
     return (half == hi - mid).all(axis=0), half
 
@@ -146,10 +129,13 @@ def _classes_per_row(keep: np.ndarray, half: np.ndarray) -> np.ndarray:
     rows, cols = np.nonzero(keep)  # rows come out sorted
     key = rows.astype(np.int64)
     base = int(half.max(initial=0)) + 1
+    bound = keep.shape[0]  # every key is below it
     for digits in half:
-        if key.size and int(key.max()) >= (1 << 62) // base:
-            key = np.unique(key, return_inverse=True)[1]
+        if bound > (1 << 62) // base:
+            ranked, key = np.unique(key, return_inverse=True)
+            bound = ranked.size
         key = key * base + digits[rows, cols]
+        bound *= base
     key.sort()  # row first, so the sorted keys keep the rows' order
     fresh = np.ones(key.size, dtype=bool)
     fresh[1:] = key[1:] != key[:-1]
@@ -171,10 +157,9 @@ def batch_counts(words, sigma: int, inequivalent: bool = False) -> np.ndarray:
         chunk = words[lo : lo + step]
         prefix = _prefix_counts(chunk, sigma)
         if not inequivalent:  # classes need no deduplication of factors
-            ranks = []
-            for order, rank in _doubling(chunk):
-                ranks.append(rank)
-            lcp = _lcp_by_start(chunk, order, ranks)
+            order, ranks = build_suffix_array(chunk, n)
+            lcp = np.empty_like(order)  # by start position
+            np.put_along_axis(lcp, order, lcp_array(order, ranks), axis=1)
             del ranks
         for m in range(2, n + 1, 2):
             starts = slice(0, n - m + 1)
@@ -188,28 +173,32 @@ def batch_counts(words, sigma: int, inequivalent: bool = False) -> np.ndarray:
 
 class FactorIndex:
     """Suffix-array view of one word: distinct factors, their representative
-    occurrences, and per-letter prefix counts for O(1) Parikh queries."""
+    occurrences, and per-letter prefix counts for O(1) Parikh queries.
 
-    def __init__(self, word: Word):
+    `depth` is the longest factor length the index answers (all of them when
+    None): the doubling stops once it sorts the suffixes that far, so a
+    longer query raises ValueError."""
+
+    def __init__(self, word: Word, depth: int | None = None):
         self.word = word
         self.n = len(word)
+        self.depth = self.n if depth is None else min(depth, self.n)
         self.sigma = word.alphabet.size
         self.arr = word.to_array()
-        self.sa = build_suffix_array(word.data)
-        self.lcp = lcp_array(word.data, self.sa)
+        order, ranks = build_suffix_array(self.arr[None], self.depth)
+        self.sa = order[0]
+        self.lcp = lcp_array(order, ranks)[0]
         self.prefix = _prefix_counts(self.arr[None], self.sigma)
 
     def representative_positions(self, length: int) -> np.ndarray:
         """Start position of the first occurrence (in suffix order) of each
         distinct factor of the given length; factors come out in
         lexicographic order."""
-        if length < 0 or length > self.n:
-            raise ValueError(f"factor length {length} out of range 0..{self.n}")
+        if length < 0 or length > self.depth:
+            raise ValueError(f"factor length {length} out of range 0..{self.depth}")
         if length == 0:
             return np.zeros(1, dtype=np.int64)
-        long_enough = self.n - self.sa >= length
-        new_factor = self.lcp < length
-        return self.sa[long_enough & new_factor]
+        return self.sa[(self.lcp < length) & (self.sa <= self.n - length)]
 
     def distinct_count(self, length: int) -> int:
         return int(self.representative_positions(length).size) if length else 1
@@ -220,9 +209,9 @@ class FactorIndex:
     def occurrence_blocks(self, length: int) -> list[np.ndarray]:
         """All occurrence positions of each distinct factor of the given
         length, one sorted array per factor."""
-        if length < 1 or length > self.n:
-            raise ValueError(f"factor length {length} out of range 1..{self.n}")
-        valid = np.flatnonzero(self.n - self.sa >= length)
+        if length < 1 or length > self.depth:
+            raise ValueError(f"factor length {length} out of range 1..{self.depth}")
+        valid = np.flatnonzero(self.sa <= self.n - length)
         starts = np.flatnonzero(self.lcp[valid] < length)
         blocks = np.split(self.sa[valid], starts[1:])
         return [np.sort(b) for b in blocks]
@@ -235,7 +224,7 @@ class FactorIndex:
 
     def abelian_square_count(self, length: int) -> int:
         """Number of distinct abelian-square factors of the given length."""
-        return int(self._squares(length)[0].sum())
+        return int(np.count_nonzero(self._squares(length)[0]))
 
     def abelian_square_parikh_classes(self, length: int) -> int:
         """Number of distinct Parikh vectors among the abelian-square factors
@@ -289,7 +278,7 @@ def asf_profile(word: Word, max_length: int, index: FactorIndex | None = None) -
     """Count the distinct abelian-square factors of each even length up to
     ``max_length`` (inclusive)."""
     _check_profile_args(word, max_length)
-    idx = index if index is not None else FactorIndex(word)
+    idx = index if index is not None else FactorIndex(word, max_length)
     counts = {m: idx.abelian_square_count(m) for m in range(2, max_length + 1, 2)}
     return ASFProfile(max_length, counts)
 
@@ -298,7 +287,7 @@ def inequivalent_profile(
     word: Word, max_length: int, index: FactorIndex | None = None
 ) -> InequivalentProfile:
     _check_profile_args(word, max_length)
-    idx = index if index is not None else FactorIndex(word)
+    idx = index if index is not None else FactorIndex(word, max_length)
     per_length = {}
     for m in range(2, max_length + 1, 2):
         classes = idx.abelian_square_parikh_classes(m)
@@ -313,15 +302,17 @@ def distinct_factors(word: Word, length: int) -> list[Word]:
         raise ValueError(f"factor length {length} out of range 0..{len(word)}")
     if length == 0:
         return [Word(word.alphabet, b"")]
-    return FactorIndex(word).distinct_factors(length)
+    return FactorIndex(word, length).distinct_factors(length)
 
 
 def unstable_lengths(word: Word, lengths, index: FactorIndex | None = None) -> list:
     """Adequacy certificate for a prefix of an infinite word: the lengths at
     which the distinct factor counts of the half prefix and the full prefix
     differ.  `index` may hold the full prefix's index; each is built once."""
-    full = index if index is not None else FactorIndex(word)
-    half = FactorIndex(word[: len(word) // 2])
+    lengths = list(lengths)
+    depth = max(lengths, default=0)
+    full = index if index is not None else FactorIndex(word, depth)
+    half = FactorIndex(word[: len(word) // 2], depth)
     return [n for n in lengths if n > half.n or half.distinct_count(n) != full.distinct_count(n)]
 
 

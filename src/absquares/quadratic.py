@@ -97,11 +97,6 @@ class QuadraticIrrational:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not a rational value")
-        return Fraction(self.p, self.r)
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.p, self.q, self.r, self.d)
 

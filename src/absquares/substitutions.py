@@ -66,11 +66,6 @@ class Substitution:
             power = ((power @ m) > 0).astype(np.int8)
         return bool(power.all())
 
-    def is_uniform(self) -> int | None:
-        """Common image length if the substitution is uniform, else None."""
-        lengths = {len(img) for img in self.images}
-        return lengths.pop() if len(lengths) == 1 else None
-
 
 @dataclass(frozen=True)
 class FixedPointSpec:
@@ -121,7 +116,7 @@ def thue_morse_prefix(length: int) -> Word:
 def _tm_base_complexity() -> dict[int, int]:
     """Factor counts for lengths 1..3, enumerated from a prefix long enough
     that the counts have stabilized."""
-    idx = FactorIndex(thue_morse_prefix(1024))
+    idx = FactorIndex(thue_morse_prefix(1024), 3)
     return {n: idx.distinct_count(n) for n in (1, 2, 3)}
 
 
@@ -163,7 +158,7 @@ def boundary_counts(prefix: Word, n: int, index: FactorIndex | None = None) -> B
     to contain every factor (see `counting.factor_counts_stable`)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = index if index is not None else FactorIndex(prefix)
+    idx = index if index is not None else FactorIndex(prefix, n)
     reps = idx.representative_positions(n)
     arr = idx.arr
     same = int(np.count_nonzero(arr[reps] == arr[reps + n - 1]))

@@ -97,10 +97,6 @@ class Word:
         except KeyError as exc:
             raise ValueError(f"symbol {exc.args[0]!r} not in alphabet") from None
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], alphabet: Alphabet) -> "Word":
-        return cls(alphabet, bytes(indices))
-
     # -- basics --------------------------------------------------------
 
     def __len__(self) -> int:

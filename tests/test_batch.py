@@ -11,11 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcp_reference import kasai
 from absquares.analysis import random_baseline
 from absquares.counting import (
     CHUNK_LETTERS,
-    _doubling,
-    _lcp_by_start,
     asf_profile,
     asf_profile_brute,
     batch_counts,
@@ -107,17 +106,16 @@ def test_suffix_array_and_lcp_descent():
     rng = np.random.default_rng(5)
     for sigma, length in [(2, 1), (2, 2), (2, 63), (2, 200), (3, 97), (26, 120)]:
         words = rng.integers(0, sigma, size=(5, length), dtype=np.uint8)
-        rounds = list(_doubling(words))
-        order = rounds[-1][0]
-        lcp = _lcp_by_start(words, order, [rank for _, rank in rounds])
-        for row, sa, by_start in zip(words, order, lcp):
+        order, ranks = build_suffix_array(words, length)
+        lcp = lcp_array(order, ranks)
+        for row, sa, by_row in zip(words, order, lcp):
             data = row.tobytes()
             assert list(sa) == sorted(range(length), key=lambda i: data[i:])
-            assert np.array_equal(build_suffix_array(data), sa)
-            kasai = lcp_array(data, sa)
-            assert np.array_equal(by_start[sa], kasai)
+            assert np.array_equal(build_suffix_array(row[None], length)[0][0], sa)
+            assert np.array_equal(by_row, kasai(data, sa))
     tm = thue_morse_prefix(4096).data
-    assert list(build_suffix_array(tm)) == sorted(range(len(tm)), key=lambda i: tm[i:])
+    order, _ = build_suffix_array(np.frombuffer(tm, dtype=np.uint8)[None], len(tm))
+    assert list(order[0]) == sorted(range(len(tm)), key=lambda i: tm[i:])
 
 
 @pytest.mark.parametrize(
@@ -138,9 +136,9 @@ def test_suffix_array_past_int32_keys():
     # rank * base + next rank reaches about n^2 > 2^31 here, so the packed
     # key must be int64 whatever numpy's scalar casting rules
     data = np.random.default_rng(11).integers(0, 2, size=70_000, dtype=np.uint8).tobytes()
-    sa = build_suffix_array(data)
+    sa = build_suffix_array(np.frombuffer(data, dtype=np.uint8)[None], len(data))[0][0]
     assert np.array_equal(np.sort(sa), np.arange(len(data)))
-    lcp = lcp_array(data, sa)  # Kasai compares letters, so each pair splits at lcp
+    lcp = kasai(data, sa)  # Kasai compares letters, so each pair splits at lcp
     letters = np.frombuffer(data + b"\xff", dtype=np.uint8)  # 255 past the end
     a, b = sa[:-1] + lcp[1:], sa[1:] + lcp[1:]
     assert ((letters[a] < letters[b]) | (a == len(data))).all()
