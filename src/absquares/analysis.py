@@ -28,19 +28,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .counting import CHUNK_LETTERS, FactorIndex, batch_counts, unstable_lengths
 from .words import BINARY_AB, Word
 
-__all__ = [
-    "InadequatePrefixError",
-    "RichnessReport",
-    "TripleBlockReport",
-    "RandomBaselineReport",
-    "richness_report",
-    "recurrence_index_estimate",
-    "triple_block",
-    "random_baseline",
-    "fit_exponent",
-    "fit_quadratic_constant",
-]
-
 
 class InadequatePrefixError(ValueError):
     """The prefix is too short to speak for the infinite word."""
@@ -143,20 +130,22 @@ def recurrence_index_estimate(
     the prefix estimate settles quickly.  A factor with sorted occurrence
     starts o_1 < ... < o_k forces m >= o_1 + n (the leading window),
     m >= N - o_k (the trailing one) and m >= gap + n - 1 for each gap
-    between consecutive starts.
+    between consecutive starts.  One sort of the key factor * N + start,
+    with factors numbered in suffix order, lines up every factor's starts.
     """
-    if not 1 <= length <= len(prefix):
-        raise ValueError("length out of range")
+    total = len(prefix)
+    depth = total if index is None else index.depth
+    if not 1 <= length <= depth:
+        raise ValueError(f"factor length {length} out of range 1..{depth}")
     if index is None:
         index = FactorIndex(prefix, length)
-    total = len(prefix)
-    needed = length
-    for occ in index.occurrence_blocks(length):
-        needed = max(needed, int(occ[0]) + length, total - int(occ[-1]))
-        if len(occ) > 1:
-            gap = int(np.diff(occ).max())
-            needed = max(needed, gap + length - 1)
-    return needed
+    fits = index.sa <= total - length
+    key = np.cumsum(index.lcp[fits] < length) * total + index.sa[fits]
+    factor, pos = np.divmod(np.sort(key), total)
+    same = factor[1:] == factor[:-1]  # pos[i + 1] follows pos[i] in one factor
+    first, last = pos[np.r_[True, ~same]], pos[np.r_[~same, True]]
+    gap = int(np.diff(pos)[same].max(initial=0))
+    return max(int(first.max()) + length, total - int(last.min()), gap + length - 1)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,6 @@ from .substitutions import (
 )
 from .words import Word, read_word_file, write_word_file
 
-__all__ = ["main", "build_parser"]
-
 
 # -- output plumbing -------------------------------------------------------
 

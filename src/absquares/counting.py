@@ -206,16 +206,6 @@ class FactorIndex:
     def distinct_factors(self, length: int) -> list[Word]:
         return [self.word.factor(int(p), length) for p in self.representative_positions(length)]
 
-    def occurrence_blocks(self, length: int) -> list[np.ndarray]:
-        """All occurrence positions of each distinct factor of the given
-        length, one sorted array per factor."""
-        if length < 1 or length > self.depth:
-            raise ValueError(f"factor length {length} out of range 1..{self.depth}")
-        valid = np.flatnonzero(self.sa <= self.n - length)
-        starts = np.flatnonzero(self.lcp[valid] < length)
-        blocks = np.split(self.sa[valid], starts[1:])
-        return [np.sort(b) for b in blocks]
-
     def _squares(self, length: int):
         """`_abelian_squares` at the representatives of one even length."""
         if length % 2 != 0 or length < 2:
@@ -294,15 +284,6 @@ def inequivalent_profile(
         if classes:
             per_length[m] = classes
     return InequivalentProfile(max_length, per_length)
-
-
-def distinct_factors(word: Word, length: int) -> list[Word]:
-    """Distinct factors of one length, lexicographically ordered."""
-    if length > len(word) or length < 0:
-        raise ValueError(f"factor length {length} out of range 0..{len(word)}")
-    if length == 0:
-        return [Word(word.alphabet, b"")]
-    return FactorIndex(word, length).distinct_factors(length)
 
 
 def unstable_lengths(word: Word, lengths, index: FactorIndex | None = None) -> list:

@@ -37,20 +37,6 @@ from .quadratic import (
 )
 from .sturmian import sturmian_asf_range
 
-__all__ = [
-    "PointSequence",
-    "DiscrepancyReport",
-    "CertificateReport",
-    "rotation_orbit",
-    "count_in_interval",
-    "discrepancy",
-    "discrepancy_bruteforce",
-    "kn2_bound",
-    "rotation_discrepancy",
-    "check_kn2",
-    "growth_certificate",
-    "certificate_sweep",
-]
 
 def _as_exact(x):
     if isinstance(x, (QuadraticIrrational, Fraction, int)):
@@ -241,15 +227,6 @@ def rotation_discrepancy(
     y_top, y_bottom = (QuadraticIrrational(int(p[k]), int(q[k]), r, d) for k in (top, bottom))
     rep = _closed_form(n, top, bottom, y_top, y_bottom, witness_limit)
     return replace(rep, bound=kn2_bound(n, quotient_bound), quotient_bound=quotient_bound)
-
-
-def check_kn2(
-    angle: QuadraticIrrational, n_points: int, quotient_bound: int | None = None
-) -> bool:
-    """Does N * D_N stay below the log bound for this angle?"""
-    return rotation_discrepancy(
-        angle, n_points, quotient_bound, witness_limit=0
-    ).within_bound
 
 
 # -- growth certificate ------------------------------------------------

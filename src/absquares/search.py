@@ -28,19 +28,6 @@ import numpy as np
 from .counting import CHUNK_LETTERS, asf_profile_brute, batch_counts, inequivalent_profile_brute
 from .words import Alphabet, Word, is_abelian_square
 
-__all__ = [
-    "DEFAULT_BUDGETS",
-    "BudgetExceededError",
-    "VerificationError",
-    "SearchResult",
-    "AlphabetComparison",
-    "max_asf",
-    "max_inequivalent",
-    "compare_alphabets",
-    "witness_value",
-    "full_enumeration_max",
-    "canonical_words",
-]
 
 DEFAULT_BUDGETS = {2: 26, 3: 16, 4: 12}
 
@@ -48,6 +35,8 @@ OBJECTIVE_DISTINCT = "distinct_asf_total"
 OBJECTIVE_INEQUIVALENT = "inequivalent_total"
 
 _CHECKPOINT_SCHEMA = "absquares.search-checkpoint/1"
+# one shard per canonical word of this length; checkpoints key their records by it
+_SHARD_PREFIX_LEN = 4
 
 
 class BudgetExceededError(ValueError):
@@ -261,7 +250,6 @@ def _search(
     witness_cap: int = 16,
     checkpoint=None,
     budgets=None,
-    shard_prefix_len: int = 4,
 ) -> SearchResult:
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -271,8 +259,7 @@ def _search(
         raise ValueError(f"unknown objective {objective!r}")
     _check_budget(sigma, length, budgets)
 
-    plen = min(shard_prefix_len, length)
-    prefixes = list(canonical_words(sigma, plen))
+    prefixes = list(canonical_words(sigma, min(_SHARD_PREFIX_LEN, length)))
     header = _checkpoint_header(sigma, length, objective, witness_cap)
     path = Path(checkpoint) if checkpoint is not None else None
     done = _load_checkpoint(path, header) if path else {}

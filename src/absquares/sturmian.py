@@ -28,7 +28,7 @@ from .quadratic import (
     floor_values,
     frac_points,
 )
-from .words import BINARY_AB, ParikhVector, Word
+from .words import BINARY_AB, Word
 
 CONVENTIONS = ("left", "right")
 
@@ -127,20 +127,6 @@ def interval_partition(alpha, n: int, convention: str = "left") -> IntervalParti
         factor = sturmian_prefix(SturmianSpec(alpha, mid, convention), n)
         entries.append(IntervalEntry(lo, hi, factor, heavy=lo >= threshold))
     return IntervalPartition(n, tuple(points), tuple(entries))
-
-
-def classify_parikh(alpha, n: int) -> list[tuple[Word, ParikhVector]]:
-    """Parikh vector of each length-n factor, derived from its heavy/light
-    class: light factors contain floor(n*alpha) letters a, heavy factors one
-    more."""
-    alpha = as_qi(alpha)
-    partition = interval_partition(alpha, n)
-    light_a = (alpha * n).floor()
-    out = []
-    for entry in partition.entries:
-        a_count = light_a + 1 if entry.heavy else light_a
-        out.append((entry.factor, ParikhVector((a_count, n - a_count))))
-    return out
 
 
 # -- arithmetic abelian-square counts ----------------------------------------

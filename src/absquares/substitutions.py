@@ -218,13 +218,3 @@ def parse_substitution_lines(lines: Iterable[str]) -> tuple[Substitution, int | 
 def read_substitution_file(path) -> tuple[Substitution, int | None]:
     with open(path, "r", encoding="utf-8") as fp:
         return parse_substitution_lines(fp)
-
-
-def format_substitution_lines(sub: Substitution, seed: int | None = None) -> str:
-    out = []
-    if seed is not None:
-        out.append(f"#seed: {sub.alphabet.symbols[seed]}")
-    out.extend(
-        f"{symbol} -> {image.text()}" for symbol, image in zip(sub.alphabet.symbols, sub.images)
-    )
-    return "\n".join(out) + "\n"

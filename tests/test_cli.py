@@ -1,10 +1,16 @@
 """End-to-end CLI behavior: golden outputs, schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from absquares.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -249,3 +255,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["sturmian-asf", "--max-n", "8"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]], ids=" ".join)
+def test_help_from_a_clean_interpreter(argv):
+    # a fresh process imports the CLI from nothing, as every command does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "absquares.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")

@@ -9,11 +9,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from occurrence_reference import occurrence_blocks
 from absquares.counting import (
     FactorIndex,
     asf_profile,
     asf_profile_brute,
-    distinct_factors,
     factor_counts_stable,
     inequivalent_profile,
     inequivalent_profile_brute,
@@ -49,13 +49,13 @@ class TestFactorIndex:
 
     def test_distinct_factors_sorted_and_complete(self):
         word = Word.from_text("banana", Alphabet.from_symbols("abn"))
-        got = [f.text() for f in distinct_factors(word, 2)]
+        got = [f.text() for f in FactorIndex(word, 2).distinct_factors(2)]
         assert got == ["an", "ba", "na"]
 
     def test_occurrence_blocks_cover_all_positions(self):
         word = Word.from_text("abaab")
         idx = FactorIndex(word)
-        blocks = idx.occurrence_blocks(2)
+        blocks = occurrence_blocks(idx, 2)
         flat = sorted(int(p) for b in blocks for p in b)
         assert flat == list(range(len(word) - 1))
 

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from lcp_reference import kasai
+from occurrence_reference import occurrence_blocks, recurrence_by_blocks
+from absquares.analysis import recurrence_index_estimate
 from absquares.counting import FactorIndex, asf_profile, inequivalent_profile
 from absquares.sturmian import fibonacci_word
 from absquares.substitutions import thue_morse_prefix
@@ -66,7 +68,7 @@ def assert_same_queries(capped: FactorIndex, full: FactorIndex, length: int, blo
     # same factors in the same (lexicographic) order, whichever occurrence
     assert np.array_equal(factor_ids(full, length)[reps], np.arange(reps.size))
     if blocks:
-        got, want = capped.occurrence_blocks(length), full.occurrence_blocks(length)
+        got, want = occurrence_blocks(capped, length), occurrence_blocks(full, length)
         assert list(map(len, got)) == list(map(len, want))
         assert np.array_equal(np.concatenate(got), np.concatenate(want))
     if length % 2 == 0:
@@ -126,7 +128,7 @@ def test_query_above_depth_raises(depth):
     with pytest.raises(ValueError):
         index.distinct_count(above)
     with pytest.raises(ValueError):
-        index.occurrence_blocks(above)
+        recurrence_index_estimate(word, above, index)
     with pytest.raises(ValueError):
         index.distinct_factors(above)
     with pytest.raises(ValueError):
@@ -144,3 +146,18 @@ def test_profiles_at_their_own_depth_match_the_full_index():
     word = word_of("thue-morse", 4096)
     assert asf_profile(word, 64) == asf_profile(word, 64, FactorIndex(word))
     assert inequivalent_profile(word, 64) == inequivalent_profile(word, 64, FactorIndex(word))
+
+
+@pytest.mark.parametrize("kind, length", [("fibonacci", 3700), ("thue-morse", 6200)])
+def test_recurrence_estimate_matches_block_loop_at_depth_2000(kind, length):
+    full = full_index(kind, length)
+    capped = FactorIndex(full.word, 2000)
+    for n in sorted(set(range(1, 2001, 13)) | {1023, 1024, 1025, 1999, 2000}):
+        assert recurrence_index_estimate(full.word, n, capped) == recurrence_by_blocks(full, n)
+
+
+@pytest.mark.parametrize("kind", ("random-2", "random-3", "random-4"))
+def test_recurrence_estimate_matches_block_loop_on_random_words(kind):
+    full = full_index(kind)
+    for n in range(1, full.n + 1):
+        assert recurrence_index_estimate(full.word, n) == recurrence_by_blocks(full, n)

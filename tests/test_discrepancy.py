@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from absquares.discrepancy import (
     PointSequence,
     certificate_sweep,
-    check_kn2,
     count_in_interval,
     discrepancy,
     discrepancy_bruteforce,
@@ -143,7 +142,7 @@ class TestBound:
     @pytest.mark.parametrize("n", [10, 100, 1000])
     @pytest.mark.parametrize("angle", [GOLDEN_ANGLE, SILVER_ANGLE])
     def test_scaled_discrepancy_within_bound(self, angle, n):
-        assert check_kn2(angle, n)
+        assert rotation_discrepancy(angle, n, witness_limit=0).within_bound
 
     def test_within_bound_is_exact_comparison(self):
         report = rotation_discrepancy(GOLDEN_ANGLE, 3)

@@ -8,7 +8,6 @@ from absquares.counting import FactorIndex, asf_profile
 from absquares.quadratic import GOLDEN_ANGLE, QI, SILVER_ANGLE
 from absquares.sturmian import (
     SturmianSpec,
-    classify_parikh,
     fibonacci_word,
     interval_partition,
     sturmian_asf,
@@ -100,11 +99,6 @@ class TestIntervalPartition:
         for entry in part.entries:
             a_count = parikh(entry.factor).counts[0]
             assert a_count == (light + 1 if entry.heavy else light)
-
-    def test_classify_parikh_consistent(self):
-        for angle in (GOLDEN_ANGLE, SILVER_ANGLE):
-            for word, pv in classify_parikh(angle, 7):
-                assert parikh(word) == pv
 
     def test_partition_lengths_sum_to_one(self):
         part = interval_partition(SILVER_ANGLE, 11)

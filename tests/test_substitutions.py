@@ -11,7 +11,6 @@ from absquares.substitutions import (
     THUE_MORSE,
     boundary_counts,
     fixed_point_prefix,
-    format_substitution_lines,
     parse_substitution_lines,
     thue_morse_prefix,
     tm_abelian_square_lift,
@@ -117,8 +116,7 @@ class TestThueMorse:
 
 class TestSubstitutionFiles:
     def test_roundtrip(self):
-        text = format_substitution_lines(THUE_MORSE, seed=0)
-        sub, seed = parse_substitution_lines(text.splitlines())
+        sub, seed = parse_substitution_lines(["#seed: 0", "0 -> 01", "1 -> 10"])
         assert seed == 0
         assert sub.images == THUE_MORSE.images
 
