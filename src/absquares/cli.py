@@ -28,7 +28,7 @@ import sys
 from .analysis import random_baseline, richness_report, triple_block
 from .counting import asf_profile, inequivalent_profile
 from .discrepancy import certificate_sweep, growth_certificate, rotation_discrepancy
-from .quadratic import QuadraticIrrational, cf_expand, parse_angle
+from .quadratic import QuadraticIrrational, parse_angle
 from .search import compare_alphabets, max_asf, max_inequivalent
 from .sturmian import (
     SturmianSpec,

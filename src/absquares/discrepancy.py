@@ -73,15 +73,6 @@ def rotation_orbit(angle: QuadraticIrrational, count: int) -> PointSequence:
     return PointSequence(tuple(pts), origin=f"orbit({count})")
 
 
-def count_in_interval(seq: PointSequence, gamma, delta) -> int:
-    """Number of points falling in [gamma, delta) — exact comparisons."""
-    gamma = _as_exact(gamma)
-    delta = _as_exact(delta)
-    if not (0 <= gamma < delta <= 1):
-        raise ValueError("need 0 <= gamma < delta <= 1")
-    return sum(1 for x in seq.points if gamma <= x < delta)
-
-
 @dataclass(frozen=True)
 class DiscrepancyReport:
     """Exact discrepancy of a point set, with optional bound check.

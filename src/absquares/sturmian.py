@@ -76,6 +76,13 @@ def fibonacci_word(length: int) -> Word:
     return sturmian_prefix(SturmianSpec(GOLDEN_ANGLE, GOLDEN_ANGLE), length)
 
 
+def _irrational_angle(alpha) -> QuadraticIrrational:
+    alpha = as_qi(alpha)
+    if alpha.is_rational or not (0 < alpha < 1):
+        raise ValueError("angle must be irrational in (0, 1)")
+    return alpha
+
+
 # -- interval partition -----------------------------------------------------
 
 
@@ -104,7 +111,7 @@ class IntervalPartition:
     entries: tuple[IntervalEntry, ...]
 
 
-def interval_partition(alpha, n: int, convention: str = "left") -> IntervalPartition:
+def interval_partition(alpha, n: int) -> IntervalPartition:
     """Partition of [0, 1) by the points {-i*alpha}, i = 1..n.
 
     Each of the n+1 cells is constant for the length-n coding map; the factor
@@ -112,9 +119,7 @@ def interval_partition(alpha, n: int, convention: str = "left") -> IntervalParti
     discontinuity, so both conventions agree on it).  A cell is heavy exactly
     when it lies right of {-n*alpha}.
     """
-    alpha = as_qi(alpha)
-    if alpha.is_rational or not (0 < alpha < 1):
-        raise ValueError("angle must be irrational in (0, 1)")
+    alpha = _irrational_angle(alpha)
     if n < 1:
         raise ValueError("n must be >= 1")
     p, q, order = _negative_orbit(alpha, n)
@@ -124,7 +129,7 @@ def interval_partition(alpha, n: int, convention: str = "left") -> IntervalParti
     entries = []
     for lo, hi in zip(points, points[1:]):
         mid = (lo + hi) / 2
-        factor = sturmian_prefix(SturmianSpec(alpha, mid, convention), n)
+        factor = sturmian_prefix(SturmianSpec(alpha, mid), n)
         entries.append(IntervalEntry(lo, hi, factor, heavy=lo >= threshold))
     return IntervalPartition(n, tuple(points), tuple(entries))
 
@@ -137,16 +142,10 @@ def sturmian_asf(alpha, n: int) -> int:
     Sturmian word with the given angle, computed arithmetically: among the
     points {-i*alpha}, i = 1..n, count those <= {-n*alpha} when floor(n*alpha)
     is even, and those >= {-n*alpha} otherwise."""
-    alpha = as_qi(alpha)
-    if alpha.is_rational or not (0 < alpha < 1):
-        raise ValueError("angle must be irrational in (0, 1)")
+    alpha = _irrational_angle(alpha)
     if n < 0 or n % 2 != 0:
         raise ValueError(f"length must be even and >= 0, got {n}")
-    if n == 0:
-        return 0
-    _, _, order = _negative_orbit(alpha, n)
-    below = int(np.flatnonzero(order == n - 1)[0])  # points under {-n*alpha}
-    return below + 1 if (alpha * n).floor() % 2 == 0 else n - below
+    return sturmian_asf_range(alpha, n).get(n, 0)
 
 
 def _smaller_before(ranks: np.ndarray) -> np.ndarray:
@@ -173,9 +172,7 @@ def sturmian_asf_range(alpha, max_n: int) -> dict[int, int]:
     With the global ranks of {-i*alpha}, the count at n is read off the
     number of earlier points below {-n*alpha}, found offline for all n.
     """
-    alpha = as_qi(alpha)
-    if alpha.is_rational or not (0 < alpha < 1):
-        raise ValueError("angle must be irrational in (0, 1)")
+    alpha = _irrational_angle(alpha)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if max_n < 2:

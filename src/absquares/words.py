@@ -154,26 +154,6 @@ class ParikhVector:
 
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative letter count")
-
-    def __add__(self, other: "ParikhVector") -> "ParikhVector":
-        if len(self.counts) != len(other.counts):
-            raise ValueError("mismatched alphabet sizes")
-        return ParikhVector(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.counts[i]
-
-    @property
-    def length(self) -> int:
-        """Length of any word having this Parikh vector."""
-        return sum(self.counts)
-
 
 def parikh(word: Word) -> ParikhVector:
     sigma = word.alphabet.size
@@ -256,14 +236,14 @@ def read_word_file(path) -> list[Word]:
         return parse_word_lines(fp)
 
 
-def format_word_lines(words: list[Word], header: bool = True) -> str:
+def format_word_lines(words: list[Word]) -> str:
     out = []
-    if header and words:
+    if words:
         out.append("#alphabet: " + "".join(words[0].alphabet.symbols))
     out.extend(w.text() for w in words)
     return "\n".join(out) + "\n"
 
 
-def write_word_file(path, words: list[Word], header: bool = True) -> None:
+def write_word_file(path, words: list[Word]) -> None:
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(format_word_lines(words, header=header))
+        fp.write(format_word_lines(words))

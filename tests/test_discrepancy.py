@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from absquares.discrepancy import (
     PointSequence,
     certificate_sweep,
-    count_in_interval,
     discrepancy,
     discrepancy_bruteforce,
     growth_certificate,
@@ -42,11 +41,6 @@ class TestPointSequence:
         assert len(seq.points) == 3
         assert seq.points[0] == GOLDEN_ANGLE
         assert seq.points[1] == (GOLDEN_ANGLE * 2).frac()
-
-    def test_count_in_interval_half_open(self):
-        seq = PointSequence((Fraction(1, 4), Fraction(1, 2)), "test")
-        assert count_in_interval(seq, Fraction(1, 4), Fraction(1, 2)) == 1
-        assert count_in_interval(seq, Fraction(0), Fraction(1)) == 2
 
 
 class TestDiscrepancy:

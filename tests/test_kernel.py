@@ -108,6 +108,38 @@ def test_python_int_path(monkeypatch):
         assert len(roots) == (150 if python_ints else 0)
 
 
+def pell_sqrt2(limit: int) -> list:
+    """Pell convergents (p, q) of sqrt(2), p/q alternately above and below it."""
+    pairs = [(1, 1), (3, 2)]
+    while pairs[-1][1] < limit:
+        (p0, q0), (p1, q1) = pairs[-2:]
+        pairs.append((2 * p1 + p0, 2 * q1 + q0))
+    return pairs
+
+
+def test_floor_brackets_the_value():
+    # QI.floor shares the closed form of floor_values, so it is checked here
+    # by the ordering, which decides k <= x < k + 1 by a numerator sign test
+    values = [
+        QI(sign * p + r * m, -sign * q, r, 2)  # m + (p - q*sqrt(2))/r, within 1/(r*q) of m
+        for p, q in pell_sqrt2(10**15)
+        for sign in (1, -1)
+        for r in (1, 7)
+        for m in (-3, 0, 2)
+    ]
+    for alpha in (LARGE_D, HUGE):
+        values += [alpha * k for k in range(-300, 301)]
+        values += [alpha * k + Fraction(k, 7) for k in range(67700, 68100)]
+    rng = random.Random(2027)
+    radicands = [2, 3, 5, 1000000007] + [rng.randint(2, 10**9) for _ in range(16)]
+    while len(values) < 20_000:
+        p, q, r = rng.randint(-(10**15), 10**15), rng.randint(-(10**15), 10**15), rng.randint(1, 10**15)
+        values.append(QI(p, q, r, rng.choice(radicands)))
+    for x in values:
+        k = x.floor()
+        assert k <= x < k + 1, x
+
+
 def test_float_key_out_of_order_is_repaired(monkeypatch):
     p, q = frac_points(GOLDEN_ANGLE, np.arange(1, 300))
     exact = sorted(range(len(p)), key=lambda i: QI(int(p[i]), int(q[i]), 2, 5))

@@ -15,7 +15,6 @@ from absquares.quadratic import (
     cf_expand,
     cf_step_bound,
     cf_value,
-    convergents,
     parse_angle,
     parse_cf,
 )
@@ -90,6 +89,14 @@ class TestArithmetic:
         assert PHI.floor() == 1
         assert (-PHI).floor() == -2
         assert (PHI.frac() - GOLDEN_ANGLE).sign() == 0
+
+    def test_order_and_floor_build_no_values(self, monkeypatch):
+        x, y = QI(-31622, 1, 1, 1000000007), QI(3, -2, 7, 1000000007)
+        built = []
+        init = QI.__init__
+        monkeypatch.setattr(QI, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        assert (x < y, x == y, x == x, y.floor(), x.floor()) == (False, False, True, -9035, 0)
+        assert built == []
 
     def test_abs(self):
         assert abs(GOLDEN_ANGLE - 1) == 1 - GOLDEN_ANGLE
@@ -202,17 +209,6 @@ class TestContinuedFractions:
         # number, sqrt(3) - 1
         assert cf_value(parse_cf("[0;1|2,1]")) == QI.sqrt(3) - 1
         assert cf_value(parse_cf("[0;|1,2]")) == QI.sqrt(3) - 1
-
-    def test_convergents_approach_value(self):
-        cf = cf_expand(GOLDEN_ANGLE)
-        cons = convergents(cf, 10)
-        # Fibonacci ratios 0, 1, 1/2, 2/3, 3/5, ...
-        assert cons[0] == 0
-        assert cons[1] == 1
-        assert cons[5] == Fraction(5, 8)
-        errors = [abs(float(GOLDEN_ANGLE) - float(c)) for c in cons]
-        assert errors[-1] < 1e-3
-        assert all(a > b for a, b in zip(errors[1:], errors[2:]))
 
 
 class TestParsing:
