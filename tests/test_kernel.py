@@ -158,12 +158,9 @@ def test_float_key_out_of_order_is_repaired(monkeypatch):
 def test_argmax_decides_ties_floats_cannot_see():
     # p - q*sqrt(2) for Pell convergents p/q near 10^15: floats carry an
     # error far above the differences between the values
-    p, q = [1, 3], [1, 2]
-    while q[-1] < 10**15:
-        p.append(2 * p[-1] + p[-2])
-        q.append(2 * q[-1] + q[-2])
-    ps = np.array(p[-8:], dtype=object)
-    qs = -np.array(q[-8:], dtype=object)
+    pairs = pell_sqrt2(10**15)[-8:]
+    ps = np.array([p for p, _ in pairs], dtype=object)
+    qs = -np.array([q for _, q in pairs], dtype=object)
     values = [QI(int(a), int(b), 1, 2) for a, b in zip(ps, qs)]
     assert exact_argmax(ps, qs, 2) == values.index(max(values))
     assert [values[i] for i in exact_argsort(ps, qs, 2)] == sorted(values)
