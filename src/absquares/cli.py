@@ -21,27 +21,34 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import sys
 
-from .analysis import random_baseline, richness_report, triple_block
-from .counting import asf_profile, inequivalent_profile
-from .discrepancy import certificate_sweep, growth_certificate, rotation_discrepancy
-from .quadratic import QuadraticIrrational, parse_angle
-from .search import compare_alphabets, max_asf, max_inequivalent
-from .sturmian import (
-    SturmianSpec,
-    sturmian_asf_range,
-    sturmian_prefix,
-)
-from .substitutions import (
-    FixedPointSpec,
-    fixed_point_prefix,
-    read_substitution_file,
-    thue_morse_prefix,
-)
-from .words import Word, read_word_file, write_word_file
+# Each command imports only what it runs, so `--help` loads no numpy.  A
+# library name read as `cli.<name>` (perfbench's tracer does) is looked up
+# in its home module on every access, so a function replaced there is found.
+_LAZY_NAMES = {
+    name: module
+    for module, names in {
+        "analysis": "random_baseline richness_report triple_block",
+        "counting": "asf_profile inequivalent_profile",
+        "discrepancy": "certificate_sweep growth_certificate rotation_discrepancy",
+        "quadratic": "QuadraticIrrational parse_angle",
+        "search": "compare_alphabets max_asf max_inequivalent",
+        "sturmian": "SturmianSpec sturmian_asf_range sturmian_prefix",
+        "substitutions": "FixedPointSpec fixed_point_prefix read_substitution_file thue_morse_prefix",
+        "words": "Word read_word_file write_word_file",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"absquares.{_LAZY_NAMES[name]}"), name)
 
 
 # -- output plumbing -------------------------------------------------------
@@ -51,7 +58,7 @@ def _round(x, precision: int):
     return round(float(x), precision)
 
 
-def _angle_json(angle: QuadraticIrrational, precision: int) -> dict:
+def _angle_json(angle, precision: int) -> dict:
     return {
         "pqrd": list(angle.as_tuple()),
         "approx": _round(angle, precision),
@@ -79,17 +86,13 @@ def _emit(args, document: dict, rows: list[dict], columns: list[str]) -> None:
     _write_text(args, buf.getvalue())
 
 
-def _load_word(path) -> Word:
+def _load_word(path):
+    from .words import read_word_file
+
     words = read_word_file(path)
     if not words:
         raise ValueError(f"no word found in {path}")
     return words[0]
-
-
-def _parse_rho(text: str, angle: QuadraticIrrational) -> QuadraticIrrational:
-    if text == "angle":
-        return angle
-    return parse_angle(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -101,13 +104,20 @@ def _int_list(text: str) -> list[int]:
 
 def _cmd_generate(args) -> int:
     if args.source == "thue-morse":
+        from .substitutions import thue_morse_prefix
+
         word = thue_morse_prefix(args.len)
     elif args.source == "sturmian":
+        from .quadratic import parse_angle
+        from .sturmian import SturmianSpec, sturmian_prefix
+
         angle = parse_angle(args.angle)
-        rho = _parse_rho(args.rho, angle)
+        rho = angle if args.rho == "angle" else parse_angle(args.rho)
         spec = SturmianSpec(angle, rho, args.convention)
         word = sturmian_prefix(spec, args.len)
     elif args.source == "substitution-file":
+        from .substitutions import FixedPointSpec, fixed_point_prefix, read_substitution_file
+
         sub, seed = read_substitution_file(args.path)
         if args.seed is not None:
             seed = sub.alphabet.index(args.seed)
@@ -117,8 +127,12 @@ def _cmd_generate(args) -> int:
             )
         word = fixed_point_prefix(FixedPointSpec(sub, seed), args.len)
     else:  # triple-block
+        from .analysis import triple_block
+
         word = triple_block(args.n).word
     if args.output:
+        from .words import write_word_file
+
         write_word_file(args.output, [word])
     else:
         sys.stdout.write(word.text() + "\n")
@@ -126,6 +140,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .counting import asf_profile, inequivalent_profile
+
     word = _load_word(args.wordfile)
     max_len = args.max_len if args.max_len is not None else len(word) - (len(word) % 2)
     if args.inequivalent:
@@ -153,6 +169,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sturmian_asf(args) -> int:
+    from .quadratic import parse_angle
+    from .sturmian import sturmian_asf_range
+
     angle = parse_angle(args.angle)
     table = sturmian_asf_range(angle, args.max_n)
     rows = [{"n": n, "count": table[n]} for n in sorted(table)]
@@ -168,11 +187,13 @@ def _cmd_sturmian_asf(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    from .counting import FactorIndex
+    from .quadratic import parse_angle
+    from .sturmian import SturmianSpec, sturmian_asf_range, sturmian_prefix
+
     angle = parse_angle(args.angle)
     arithmetic = sturmian_asf_range(angle, args.max_n)
     prefix = sturmian_prefix(SturmianSpec(angle, angle), args.prefix_len)
-    from .counting import FactorIndex
-
     index = FactorIndex(prefix, args.max_n)
     rows = []
     all_match = True
@@ -206,6 +227,9 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_discrepancy(args) -> int:
+    from .discrepancy import rotation_discrepancy
+    from .quadratic import parse_angle
+
     angle = parse_angle(args.angle)
     report = rotation_discrepancy(
         angle, args.n_points, args.quotient_bound, witness_limit=args.witness_limit
@@ -241,6 +265,9 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
+    from .discrepancy import certificate_sweep, growth_certificate
+    from .quadratic import parse_angle
+
     angle = parse_angle(args.angle)
     if args.sweep:
         reports = certificate_sweep(angle, args.n)
@@ -266,6 +293,8 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_richness(args) -> int:
+    from .analysis import richness_report
+
     word = _load_word(args.wordfile)
     report = richness_report(
         word, args.lengths, check_adequacy=not args.skip_adequacy_check
@@ -307,6 +336,8 @@ def _cmd_richness(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    from .analysis import random_baseline
+
     report = random_baseline(args.lengths, trials=args.trials, seed=args.seed)
     p = args.precision
     rows = [
@@ -341,6 +372,8 @@ def _search_kwargs(args) -> dict:
 
 
 def _cmd_search(args) -> int:
+    from .search import compare_alphabets, max_asf, max_inequivalent
+
     if args.mode == "compare":
         comparison = compare_alphabets(
             args.len, tuple(args.sigmas), **_search_kwargs(args)

@@ -16,7 +16,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import FactorIndex
 from .words import BINARY_01, Alphabet, Word
 
 
@@ -116,6 +115,8 @@ def thue_morse_prefix(length: int) -> Word:
 def _tm_base_complexity() -> dict[int, int]:
     """Factor counts for lengths 1..3, enumerated from a prefix long enough
     that the counts have stabilized."""
+    from .counting import FactorIndex
+
     idx = FactorIndex(thue_morse_prefix(1024), 3)
     return {n: idx.distinct_count(n) for n in (1, 2, 3)}
 
@@ -158,9 +159,12 @@ def boundary_counts(prefix: Word, n: int, index: FactorIndex | None = None) -> B
     to contain every factor (see `counting.factor_counts_stable`)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = index if index is not None else FactorIndex(prefix, n)
-    reps = idx.representative_positions(n)
-    arr = idx.arr
+    if index is None:
+        from .counting import FactorIndex
+
+        index = FactorIndex(prefix, n)
+    reps = index.representative_positions(n)
+    arr = index.arr
     same = int(np.count_nonzero(arr[reps] == arr[reps + n - 1]))
     return BoundaryCounts(n, same, int(reps.size) - same)
 

@@ -71,6 +71,13 @@ def infer_alphabet(text: str) -> Alphabet:
     return Alphabet(tuple(sorted(seen)))
 
 
+class _SymbolTable(dict):
+    """Code point -> letter index for `str.translate`; unknown symbols raise."""
+
+    def __missing__(self, code):
+        raise ValueError(f"symbol {chr(code)!r} not in alphabet")
+
+
 class Word:
     """Immutable word; ``data`` holds letter indices as bytes."""
 
@@ -91,11 +98,8 @@ class Word:
     def from_text(cls, text: str, alphabet: Alphabet | None = None) -> "Word":
         if alphabet is None:
             alphabet = infer_alphabet(text)
-        lookup = {s: i for i, s in enumerate(alphabet.symbols)}
-        try:
-            return cls(alphabet, bytes(lookup[c] for c in text))
-        except KeyError as exc:
-            raise ValueError(f"symbol {exc.args[0]!r} not in alphabet") from None
+        table = _SymbolTable({ord(s): i for i, s in enumerate(alphabet.symbols)})
+        return cls(alphabet, text.translate(table).encode("latin-1"))
 
     # -- basics --------------------------------------------------------
 
@@ -132,8 +136,7 @@ class Word:
         return f"Word({text!r})"
 
     def text(self) -> str:
-        syms = self.alphabet.symbols
-        return "".join(syms[i] for i in self.data)
+        return self.data.decode("latin-1").translate(dict(enumerate(self.alphabet.symbols)))
 
     def to_array(self) -> np.ndarray:
         """Read-only uint8 view of the letter indices (no copy)."""

@@ -1,12 +1,12 @@
-"""Reference versions of the rotation-orbit loops, one QuadraticIrrational per
-point.  The package computes the same quantities with the integer kernel of
-`absquares.quadratic`; these slow, obviously-exact loops are what the kernel
-tests compare it against."""
+"""Reference versions of the rotation-orbit and continued-fraction loops, one
+QuadraticIrrational per point or complete quotient.  The package computes the
+same quantities with the integer kernel of `absquares.quadratic`; these slow,
+obviously-exact loops are what the kernel tests compare it against."""
 
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
-from absquares.quadratic import QuadraticIrrational
+from absquares.quadratic import ContinuedFraction, QuadraticIrrational
 from absquares.words import BINARY_AB, Word
 
 _ZERO = QuadraticIrrational.from_rational(0)
@@ -99,3 +99,23 @@ def closed_form(points):
     surplus = max(Fraction(i + 1, n) - y for i, y in enumerate(ys))
     deficit = max(y - Fraction(i, n) for i, y in enumerate(ys))
     return surplus + deficit, surplus, deficit
+
+
+def cf_expand(x, max_steps: int) -> ContinuedFraction:
+    """Continued fraction by value arithmetic: y -> 1/(y - floor(y)).  The
+    period starts at the first reduced complete quotient (y > 1 and
+    -1 < y' < 0) and ends where that value recurs."""
+    a0 = x.floor()
+    y = (x - a0).inverse()
+    first, start = None, 0
+    terms = []
+    for _ in range(max_steps):
+        if first is None:
+            if y > 1 and -1 < QuadraticIrrational(y.p, -y.q, y.r, y.d) < 0:
+                first, start = y, len(terms)
+        elif y == first:
+            return ContinuedFraction(a0, tuple(terms[:start]), tuple(terms[start:]))
+        a = y.floor()
+        terms.append(a)
+        y = (y - a).inverse()
+    raise ValueError(f"no period found within {max_steps} steps")

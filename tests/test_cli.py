@@ -1,4 +1,5 @@
-"""End-to-end CLI behavior: golden outputs, schemas, exit codes."""
+"""End-to-end CLI behavior: golden outputs, schemas, exit codes, and the
+modules each command loads."""
 
 import json
 import os
@@ -268,3 +269,59 @@ def test_help_from_a_clean_interpreter(argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+
+# Run as `python -m absquares.cli` runs it (runpy, with sys.argv set), and
+# print sys.modules on the last line of stderr as the interpreter exits.
+PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(sys.modules), file=sys.__stderr__))\n"
+    "runpy.run_module('absquares.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def modules_at_exit(*argv) -> set:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.splitlines()[-1].split())
+
+
+def test_help_loads_no_numpy_and_no_package_module():
+    modules = modules_at_exit("--help")
+    assert modules.isdisjoint({"numpy", "absquares.counting", "absquares.search"})
+    assert [name for name in modules if name.startswith("absquares.")] == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (
+            ["count", "WORD"],
+            "absquares.counting",
+            {"absquares.quadratic", "absquares.sturmian", "absquares.discrepancy",
+             "absquares.analysis", "absquares.search"},
+        ),
+        (
+            ["discrepancy", "--angle", "cf:[0;|1]", "--N", "100"],
+            "absquares.discrepancy",
+            {"absquares.counting", "absquares.analysis", "absquares.search"},
+        ),
+        (
+            ["generate", "thue-morse", "--len", "16"],
+            "absquares.substitutions",
+            {"absquares.counting", "absquares.quadratic", "absquares.analysis"},
+        ),
+    ],
+    ids=["count", "discrepancy", "generate-thue-morse"],
+)
+def test_command_loads_only_what_it_runs(tmp_path, argv, loaded, absent):
+    word = tmp_path / "w.txt"
+    word.write_text("#alphabet: ab\nabaababaab\n")
+    modules = modules_at_exit(*(str(word) if arg == "WORD" else arg for arg in argv))
+    assert loaded in modules
+    assert modules.isdisjoint(absent)

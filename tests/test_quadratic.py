@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import qi_reference
 from absquares import quadratic
 from absquares.quadratic import (
     GOLDEN_ANGLE,
@@ -127,6 +128,27 @@ class TestArithmetic:
         assert f.sign() >= 0 and f < 1
 
 
+def bound_angles():
+    """200 angles with small coefficients, the first of period 12,352."""
+    rng = random.Random(409)
+    angles = [QI(-31622, 1, 1, 1000000007), GOLDEN_ANGLE, QI(5, -2, 7, 3)]
+    while len(angles) < 200:
+        x = QI(rng.randint(-60, 60), rng.choice([-3, -1, 1, 2]), rng.randint(1, 60), rng.randint(2, 1000))
+        if not x.is_rational:
+            angles.append(x)
+    return angles
+
+
+def repeat_angles():
+    """The irrationals among 300 draws with p up to 10^6 and r up to 3000."""
+    rng = random.Random(1009)
+    draws = [
+        QI(rng.randint(-10**6, 10**6), rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3000), rng.randint(2, 300))
+        for _ in range(300)
+    ]
+    return [x for x in draws if not x.is_rational]
+
+
 class TestContinuedFractions:
     def test_golden_angle_expansion(self):
         cf = cf_expand(GOLDEN_ANGLE)
@@ -152,12 +174,7 @@ class TestContinuedFractions:
             cf_expand(QI.from_rational(Fraction(3, 7)))
 
     def test_step_bound_covers_preperiod_and_period(self):
-        rng = random.Random(409)
-        angles = [QI(-31622, 1, 1, 1000000007), GOLDEN_ANGLE, QI(5, -2, 7, 3)]
-        while len(angles) < 200:
-            x = QI(rng.randint(-60, 60), rng.choice([-3, -1, 1, 2]), rng.randint(1, 60), rng.randint(2, 1000))
-            if not x.is_rational:
-                angles.append(x)
+        angles = bound_angles()
         for x in angles:
             cf = cf_expand(x, max_steps=10**6)
             assert len(cf.preperiod) + len(cf.period) + 1 <= cf_step_bound(x)
@@ -177,12 +194,14 @@ class TestContinuedFractions:
             j = seen[y]
             return (a0, tuple(terms[:j]), tuple(terms[j:]))
 
-        rng = random.Random(1009)
-        for _ in range(300):
-            x = QI(rng.randint(-10**6, 10**6), rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3000), rng.randint(2, 300))
-            if not x.is_rational:
-                cf = cf_expand(x)
-                assert (cf.a0, cf.preperiod, cf.period) == by_repeat(x)
+        for x in repeat_angles():
+            cf = cf_expand(x)
+            assert (cf.a0, cf.preperiod, cf.period) == by_repeat(x)
+
+    def test_integer_recurrence_matches_the_value_loop(self):
+        # the PQa steps on (P, Q) against 1/(y - floor(y)) on values
+        for x in [QI.sqrt(1000000007), *bound_angles(), *repeat_angles()]:
+            assert cf_expand(x) == qi_reference.cf_expand(x, cf_step_bound(x))
 
     def test_step_bound_covers_preperiod_for_large_denominators(self):
         # r | p^2 - d keeps the discriminant at 4d while r reaches 10^18

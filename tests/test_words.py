@@ -14,6 +14,7 @@ from absquares.words import (
     parikh,
     parse_word_lines,
     format_word_lines,
+    read_word_file,
 )
 from absquares.sturmian import fibonacci_word
 
@@ -34,6 +35,18 @@ class TestWordBasics:
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Word.from_text("abc", BINARY_AB)
+
+    @pytest.mark.parametrize("text, symbol", [("abxa", "x"), ("a\x01b", "\x01"), ("ab€", "€")])
+    def test_unknown_symbol_names_the_symbol(self, text, symbol):
+        # \x01 is the code of letter b after translation, so it must not slip through
+        with pytest.raises(ValueError) as exc:
+            Word.from_text(text, BINARY_AB)
+        assert str(exc.value) == f"symbol {symbol!r} not in alphabet"
+
+    def test_text_roundtrip_beyond_latin1(self):
+        word = Word.from_text("αβγα", Alphabet(("α", "β", "γ")))
+        assert list(word) == [0, 1, 2, 0]
+        assert word.text() == "αβγα"
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
@@ -167,6 +180,13 @@ class TestWordFiles:
     def test_header_pins_alphabet(self):
         words = parse_word_lines(["#alphabet: abc", "ab"])
         assert words[0].alphabet.size == 3
+
+    def test_unknown_symbol_on_read(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("#alphabet: ab\nabab\nabxab\n")
+        with pytest.raises(ValueError) as exc:
+            read_word_file(path)
+        assert str(exc.value) == "symbol 'x' not in alphabet"
 
     def test_blank_lines_and_comments_skipped(self):
         assert parse_word_lines(["", "# note", "ab", ""]) == [Word.from_text("ab")]
