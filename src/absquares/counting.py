@@ -2,16 +2,16 @@
 
 Two independent routes are kept side by side:
 
-* the engine: a suffix array gives one representative occurrence per
-  distinct factor, and an O(1) prefix-count test decides whether the two
-  halves share a Parikh vector, for one long word (`FactorIndex`,
-  `asf_profile`, `inequivalent_profile`) or many short ones (`batch_counts`);
+* the engine: the first occurrence (in suffix order) of each length-m factor
+  starts where the suffix array's LCP, scattered into start order, is below
+  m, and an O(1) prefix-count test decides whether its two halves share a
+  Parikh vector; for one long word (`FactorIndex`, `asf_profile`,
+  `inequivalent_profile`) or many short ones (`batch_counts`);
 * the oracle (`asf_profile_brute`, `inequivalent_profile_brute`): transparent
   enumeration of all substrings with explicit per-letter counting.
 
 Whether a factor is an abelian square depends only on its content, so testing
-a single representative occurrence is enough; the suffix array makes the
-deduplication exact without any hashing.
+one occurrence per factor is enough, and no hashing is needed.
 """
 
 from __future__ import annotations
@@ -183,17 +183,15 @@ class FactorIndex:
         self.word = word
         self.n = len(word)
         self.depth = self.n if depth is None else min(depth, self.n)
-        self.sigma = word.alphabet.size
         self.arr = word.to_array()
         order, ranks = build_suffix_array(self.arr[None], self.depth)
         self.sa = order[0]
         self.lcp = lcp_array(order, ranks)[0]
-        self.prefix = _prefix_counts(self.arr[None], self.sigma)
+        self.prefix = _prefix_counts(self.arr[None], word.alphabet.size)
 
     def representative_positions(self, length: int) -> np.ndarray:
-        """Start position of the first occurrence (in suffix order) of each
-        distinct factor of the given length; factors come out in
-        lexicographic order."""
+        """Start of the first occurrence (in suffix order) of each distinct
+        factor of the given length, the factors in lexicographic order."""
         if length < 0 or length > self.depth:
             raise ValueError(f"factor length {length} out of range 0..{self.depth}")
         if length == 0:
@@ -206,20 +204,36 @@ class FactorIndex:
     def distinct_factors(self, length: int) -> list[Word]:
         return [self.word.factor(int(p), length) for p in self.representative_positions(length)]
 
-    def _squares(self, length: int):
-        """`_abelian_squares` at the representatives of one even length."""
-        if length % 2 != 0 or length < 2:
-            raise ValueError(f"abelian squares have even positive length, got {length}")
-        return _abelian_squares(self.prefix, self.representative_positions(length), length)
+    def _squares(self, lengths):
+        """(m, square, half) of `_abelian_squares` per m of the ascending even
+        `lengths`, at the starts i <= n - m with lcp_by_start[i] < m: the slice
+        of them all, masked, where over half pass, else gathered from a list of
+        the starts with lcp_by_start < max(lengths), if that is not all."""
+        n, top = self.n, max(lengths, default=0)
+        if top % 2 != 0 or min(lengths, default=2) < 2:
+            raise ValueError(f"abelian squares have even positive length, got {top}")
+        if top > self.depth:
+            raise ValueError(f"factor length {top} out of range 0..{self.depth}")
+        by_start = np.empty_like(self.lcp)
+        by_start[self.sa] = self.lcp
+        listed = by_start.max(initial=0) >= top  # else every start is a candidate
+        pool = np.flatnonzero(by_start < top).astype(np.int32) if listed else None
+        for m in lengths:
+            if pool is not None:
+                starts = pool[(by_start[pool] < m) & (pool <= n - m)]
+            if pool is None or 2 * starts.size > n - m + 1:
+                starts = slice(0, n - m + 1)
+            square, half = _abelian_squares(self.prefix, starts, m)
+            square &= by_start[starts] < m  # already true where gathered
+            yield m, square, half
 
     def abelian_square_count(self, length: int) -> int:
         """Number of distinct abelian-square factors of the given length."""
-        return int(np.count_nonzero(self._squares(length)[0]))
+        return int(np.count_nonzero(next(self._squares((length,)))[1]))
 
     def abelian_square_parikh_classes(self, length: int) -> int:
-        """Number of distinct Parikh vectors among the abelian-square factors
-        of the given length."""
-        return int(_classes_per_row(*self._squares(length))[0])
+        """Number of distinct Parikh vectors of the abelian squares of this length."""
+        return int(_classes_per_row(*next(self._squares((length,)))[1:])[0])
 
 
 # -- profiles ---------------------------------------------------------------
@@ -257,33 +271,28 @@ class InequivalentProfile:
         return sum(self.per_length.values())
 
 
-def _check_profile_args(word: Word, max_length: int) -> None:
+def _profile_lengths(word: Word, max_length: int) -> range:
     if max_length % 2 != 0 or max_length < 0:
         raise ValueError(f"max_length must be even and >= 0, got {max_length}")
     if max_length > len(word):
         raise ValueError(f"max_length {max_length} exceeds word length {len(word)}")
+    return range(2, max_length + 1, 2)
 
 
 def asf_profile(word: Word, max_length: int, index: FactorIndex | None = None) -> ASFProfile:
-    """Count the distinct abelian-square factors of each even length up to
-    ``max_length`` (inclusive)."""
-    _check_profile_args(word, max_length)
-    idx = index if index is not None else FactorIndex(word, max_length)
-    counts = {m: idx.abelian_square_count(m) for m in range(2, max_length + 1, 2)}
-    return ASFProfile(max_length, counts)
+    """The distinct abelian-square factors of each even length 2..max_length."""
+    lengths = _profile_lengths(word, max_length)
+    squares = (index if index is not None else FactorIndex(word, max_length))._squares(lengths)
+    return ASFProfile(max_length, {m: int(np.count_nonzero(sq)) for m, sq, _ in squares})
 
 
 def inequivalent_profile(
     word: Word, max_length: int, index: FactorIndex | None = None
 ) -> InequivalentProfile:
-    _check_profile_args(word, max_length)
-    idx = index if index is not None else FactorIndex(word, max_length)
-    per_length = {}
-    for m in range(2, max_length + 1, 2):
-        classes = idx.abelian_square_parikh_classes(m)
-        if classes:
-            per_length[m] = classes
-    return InequivalentProfile(max_length, per_length)
+    lengths = _profile_lengths(word, max_length)
+    squares = (index if index is not None else FactorIndex(word, max_length))._squares(lengths)
+    classes = {m: int(_classes_per_row(square, half)[0]) for m, square, half in squares}
+    return InequivalentProfile(max_length, {m: c for m, c in classes.items() if c})
 
 
 def unstable_lengths(word: Word, lengths, index: FactorIndex | None = None) -> list:
@@ -306,23 +315,16 @@ def factor_counts_stable(word: Word, lengths) -> bool:
 
 
 def _halves_match(data: bytes, start: int, length: int, sigma: int) -> bool:
-    half = length // 2
-    mid = start + half
-    end = start + length
-    return all(
-        data.count(letter, start, mid) == data.count(letter, mid, end)
-        for letter in range(sigma)
-    )
+    mid, end = start + length // 2, start + length
+    return all(data.count(c, start, mid) == data.count(c, mid, end) for c in range(sigma))
 
 
 def asf_profile_brute(word: Word, max_length: int) -> ASFProfile:
     """Oracle: enumerate every substring, deduplicate by content, test the
     halves by counting letters."""
-    _check_profile_args(word, max_length)
-    data = word.data
-    sigma = word.alphabet.size
+    data, sigma = word.data, word.alphabet.size
     counts = {}
-    for m in range(2, max_length + 1, 2):
+    for m in _profile_lengths(word, max_length):
         seen = set()
         for i in range(len(data) - m + 1):
             piece = data[i : i + m]
@@ -333,11 +335,9 @@ def asf_profile_brute(word: Word, max_length: int) -> ASFProfile:
 
 
 def inequivalent_profile_brute(word: Word, max_length: int) -> InequivalentProfile:
-    _check_profile_args(word, max_length)
-    data = word.data
-    sigma = word.alphabet.size
+    data, sigma = word.data, word.alphabet.size
     per_length = {}
-    for m in range(2, max_length + 1, 2):
+    for m in _profile_lengths(word, max_length):
         classes = set()
         for i in range(len(data) - m + 1):
             if _halves_match(data, i, m, sigma):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
 from .words import BINARY_01, Alphabet, Word
 
 
@@ -40,30 +38,25 @@ class Substitution:
         return cls(alphabet, tuple(Word.from_text(s, alphabet) for s in images))
 
     def apply(self, word: Word) -> Word:
+        """The image of `word`: one `str.translate` of its latin-1 text
+        through a letter -> image table."""
         if word.alphabet != self.alphabet:
             raise ValueError("word alphabet does not match substitution alphabet")
-        images = [img.data for img in self.images]
-        return Word(self.alphabet, b"".join(images[letter] for letter in word.data))
-
-    def incidence_matrix(self) -> np.ndarray:
-        """M[i, j] = occurrences of letter i in the image of letter j."""
-        sigma = self.alphabet.size
-        m = np.zeros((sigma, sigma), dtype=np.int64)
-        for j, img in enumerate(self.images):
-            for letter in img.data:
-                m[letter, j] += 1
-        return m
+        table = {letter: img.data.decode("latin-1") for letter, img in enumerate(self.images)}
+        return Word(self.alphabet, word.data.decode("latin-1").translate(table).encode("latin-1"))
 
     def is_primitive(self) -> bool:
-        """Some power of the incidence matrix is entrywise positive; powers up
-        to sigma**2 suffice (Wielandt's bound is (sigma-1)**2 + 1)."""
-        m = (self.incidence_matrix() > 0).astype(np.int8)
-        power = m.copy()
-        for _ in range(self.alphabet.size ** 2):
-            if power.all():
+        """Some power of the incidence matrix is entrywise positive: for some
+        k <= sigma**2 + 1 (Wielandt's bound is (sigma-1)**2 + 1), every letter's
+        k-th image, whose letters `reach` steps through, holds every letter."""
+        every = set(range(self.alphabet.size))
+        step = [set(img.data) for img in self.images]
+        reach = step
+        for _ in range(self.alphabet.size ** 2 + 1):
+            if all(letters == every for letters in reach):
                 return True
-            power = ((power @ m) > 0).astype(np.int8)
-        return bool(power.all())
+            reach = [set().union(*(step[letter] for letter in letters)) for letters in reach]
+        return False
 
 
 @dataclass(frozen=True)
@@ -163,6 +156,8 @@ def boundary_counts(prefix: Word, n: int, index: FactorIndex | None = None) -> B
         from .counting import FactorIndex
 
         index = FactorIndex(prefix, n)
+    import numpy as np
+
     reps = index.representative_positions(n)
     arr = index.arr
     same = int(np.count_nonzero(arr[reps] == arr[reps + n - 1]))

@@ -2,7 +2,8 @@
 
 Letters are integer indices 0..size-1; display symbols are attached via an
 Alphabet and only matter for text I/O.  Words are immutable and store their
-letters as raw bytes, which keeps slicing, hashing and numpy views cheap.
+letters as raw bytes, so slicing, hashing and the translations between text
+and letters run in C; numpy is imported only where an array is built.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,9 @@ def infer_alphabet(text: str) -> Alphabet:
     return Alphabet(tuple(sorted(seen)))
 
 
+_LETTERS = bytes(range(256))
+
+
 class _SymbolTable(dict):
     """Code point -> letter index for `str.translate`; unknown symbols raise."""
 
@@ -84,10 +86,11 @@ class Word:
     __slots__ = ("alphabet", "data")
 
     def __init__(self, alphabet: Alphabet, data: bytes):
-        if data and max(data) >= alphabet.size:
+        data = bytes(data)
+        if data.translate(None, _LETTERS[: alphabet.size]):  # a letter outside the alphabet
             raise ValueError("letter index out of range for alphabet")
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "data", bytes(data))
+        object.__setattr__(self, "data", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -140,6 +143,8 @@ class Word:
 
     def to_array(self) -> np.ndarray:
         """Read-only uint8 view of the letter indices (no copy)."""
+        import numpy as np
+
         return np.frombuffer(self.data, dtype=np.uint8)
 
     def reverse(self) -> "Word":
@@ -198,6 +203,8 @@ def is_balanced(word: Word) -> bool:
     factors never differ by more than one."""
     if word.alphabet.size != 2:
         raise ValueError("balance is defined here for binary alphabets only")
+    import numpy as np
+
     arr = word.to_array()
     n = arr.size
     if n < 2:

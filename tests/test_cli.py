@@ -314,14 +314,20 @@ def test_help_loads_no_numpy_and_no_package_module():
         (
             ["generate", "thue-morse", "--len", "16"],
             "absquares.substitutions",
-            {"absquares.counting", "absquares.quadratic", "absquares.analysis"},
+            {"numpy", "absquares.counting", "absquares.quadratic", "absquares.analysis"},
+        ),
+        (
+            ["generate", "substitution-file", "SUB", "--len", "16"],
+            "absquares.substitutions",
+            {"numpy", "absquares.counting", "absquares.quadratic"},
         ),
     ],
-    ids=["count", "discrepancy", "generate-thue-morse"],
+    ids=["count", "discrepancy", "generate-thue-morse", "generate-substitution-file"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, loaded, absent):
-    word = tmp_path / "w.txt"
-    word.write_text("#alphabet: ab\nabaababaab\n")
-    modules = modules_at_exit(*(str(word) if arg == "WORD" else arg for arg in argv))
+    files = {"WORD": tmp_path / "w.txt", "SUB": tmp_path / "fib.sub"}
+    files["WORD"].write_text("#alphabet: ab\nabaababaab\n")
+    files["SUB"].write_text("a -> ab\nb -> a\n#seed: a\n")
+    modules = modules_at_exit(*(str(files.get(arg, arg)) for arg in argv))
     assert loaded in modules
     assert modules.isdisjoint(absent)

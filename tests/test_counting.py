@@ -4,8 +4,10 @@ The suffix-array engine is the thing under test; the oracle enumerates
 factor sets directly and is kept deliberately dumb.
 """
 
+import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,6 +131,79 @@ class TestProfiles:
     def test_profile_rows_cover_even_lengths_only(self):
         profile = asf_profile(fibonacci_word(300), 20)
         assert set(profile.counts) <= set(range(2, 21, 2))
+
+
+def lcp_by_start(index):
+    out = np.empty(index.n, dtype=np.int64)
+    out[index.sa] = index.lcp
+    return out
+
+
+@functools.cache
+def fibonacci_then_random():
+    """800 Fibonacci letters, whose factors repeat far beyond 200 letters,
+    then 1200 random ones: few starts hold a new short factor, but more than
+    half of them hold a new factor of 200 letters."""
+    tail = np.random.default_rng(13).integers(0, 2, size=1200, dtype=np.uint8)
+    return Word(Alphabet.default(2), fibonacci_word(800).data + tail.tobytes())
+
+
+@functools.cache
+def oracle_profiles(word, max_length):
+    return asf_profile_brute(word, max_length), inequivalent_profile_brute(word, max_length)
+
+
+class TestProfileLoop:
+    """The profiles read the LCP in start order: a start i <= n - m holds the
+    first occurrence of its length-m factor when lcp_by_start[i] < m.  Lengths
+    where at most half of the starts do are gathered from a list of the starts
+    with lcp_by_start < max_length, the others tested as one masked slice."""
+
+    def test_one_profile_crosses_from_gathered_starts_to_the_slice(self):
+        word, top = fibonacci_then_random(), 200
+        index = FactorIndex(word, top)
+        by_start, n = lcp_by_start(index), len(word)
+        assert by_start.max() >= top  # not every start is a candidate: a list
+        gathered = [
+            m for m in range(2, top + 1, 2) if 2 * np.sum(by_start[: n - m + 1] < m) <= n - m + 1
+        ]
+        assert gathered and gathered[0] == 2 and gathered[-1] < top
+        assert (asf_profile(word, top, index), inequivalent_profile(word, top, index)) == (
+            oracle_profiles(word, top)
+        )
+
+    def test_an_index_deeper_than_the_profile(self):
+        word = fibonacci_then_random()
+        for index in (FactorIndex(word), FactorIndex(word, 500)):
+            assert asf_profile(word, 200, index) == oracle_profiles(word, 200)[0]
+            assert inequivalent_profile(word, 200, index) == oracle_profiles(word, 200)[1]
+            assert asf_profile(word, 64, index) == asf_profile_brute(word, 64)
+
+    def test_single_lengths_read_the_profile_entries(self):
+        word = fibonacci_then_random()
+        index = FactorIndex(word, 200)
+        distinct, classes = oracle_profiles(word, 200)
+        for m in range(2, 201, 2):
+            assert index.abelian_square_count(m) == distinct.count(m)
+            assert index.abelian_square_parikh_classes(m) == classes.per_length.get(m, 0)
+
+    @pytest.mark.parametrize("sigma", (3, 4))
+    @pytest.mark.parametrize("max_length", (4, 6, 8, 12, 40))
+    def test_random_words_over_more_letters(self, sigma, max_length):
+        letters = np.random.default_rng(sigma).integers(0, sigma, size=400, dtype=np.uint8)
+        word = Word(Alphabet.default(sigma), letters.tobytes())
+        assert asf_profile(word, max_length) == asf_profile_brute(word, max_length)
+        assert inequivalent_profile(word, max_length) == inequivalent_profile_brute(
+            word, max_length
+        )
+
+    @pytest.mark.parametrize("length", (-2, 0, 3))
+    def test_single_length_must_be_even_and_positive(self, length):
+        index = FactorIndex(fibonacci_word(50))
+        with pytest.raises(ValueError):
+            index.abelian_square_count(length)
+        with pytest.raises(ValueError):
+            index.abelian_square_parikh_classes(length)
 
 
 class TestStability:

@@ -1,8 +1,11 @@
 """Substitutions, their fixed points, and the Thue-Morse machinery."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+import substitution_reference
 from absquares.counting import factor_counts_stable
 from absquares.substitutions import (
     BoundaryCounts,
@@ -23,6 +26,35 @@ class TestSubstitution:
     def test_apply(self):
         fib = Substitution.from_strings(Alphabet.from_symbols("ab"), "ab", "a")
         assert fib.apply(Word.from_text("aba")).text() == "abaab"
+
+    @pytest.mark.parametrize("sigma", (1, 2, 3))
+    def test_every_short_substitution_matches_the_reference(self, sigma):
+        """Every substitution over sigma <= 3 letters with images of length 1
+        or 2 (2, 36 and 1,728 of them): its image of a word and its
+        primitivity against the join and the incidence-matrix powers."""
+        alphabet = Alphabet.default(sigma)
+        letters = bytes(range(sigma))
+        images = [bytes(i) for k in (1, 2) for i in itertools.product(letters, repeat=k)]
+        words = [b"", letters, letters[::-1] * 3 + letters]
+        verdicts = set()
+        for chosen in itertools.product(images, repeat=sigma):
+            sub = Substitution(alphabet, tuple(Word(alphabet, img) for img in chosen))
+            for data in words:
+                want = substitution_reference.apply(list(chosen), data)
+                assert sub.apply(Word(alphabet, data)).data == want
+            verdict = sub.is_primitive()
+            assert verdict == substitution_reference.is_primitive(list(chosen)), chosen
+            verdicts.add(verdict)
+        assert verdicts == ({True, False} if sigma > 1 else {True})
+
+    def test_spec_errors_keep_their_messages(self):
+        ab = Alphabet.from_symbols("ab")
+        with pytest.raises(ValueError, match="^substitution must be primitive$"):
+            FixedPointSpec(Substitution.from_strings(ab, "ab", "b"), 0)
+        with pytest.raises(ValueError, match="^substitution is not prolongable on the seed"):
+            FixedPointSpec(Substitution.from_strings(ab, "ba", "a"), 0)
+        with pytest.raises(ValueError, match="^seed letter 2 out of range$"):
+            FixedPointSpec(Substitution.from_strings(ab, "ab", "a"), 2)
 
     def test_fixed_point_needs_prolongable_seed(self):
         # b -> a is not prolongable at b

@@ -52,6 +52,15 @@ class TestWordBasics:
         with pytest.raises(ValueError):
             Word(BINARY_AB, bytes([0, 2]))
 
+    @pytest.mark.parametrize(
+        "data", [b"\x02", b"\x02\x00\x01", b"\x00\x01" * 1000 + b"\x02", b"\x01\xff"]
+    )
+    def test_out_of_range_letter_names_the_fault(self, data):
+        with pytest.raises(ValueError, match="^letter index out of range for alphabet$"):
+            Word(BINARY_AB, data)
+        with pytest.raises(ValueError, match="^letter index out of range for alphabet$"):
+            Word(BINARY_AB, bytearray(data))
+
     def test_immutable(self):
         word = w("ab")
         with pytest.raises(AttributeError):
