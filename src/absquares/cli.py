@@ -99,6 +99,24 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _budgets(text: str) -> dict[int, int]:
+    """'2=30,3=18' -> {2: 30, 3: 18}."""
+    try:
+        pairs = [part.split("=") for part in text.split(",") if part.strip()]
+        return {int(sigma): int(cap) for sigma, cap in pairs}
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected SIGMA=LENGTH pairs like '2=30,3=18', got {text!r}"
+        ) from None
+
+
 # -- subcommand implementations ---------------------------------------------
 
 
@@ -363,11 +381,7 @@ def _search_kwargs(args) -> dict:
     if args.checkpoint:
         kwargs["checkpoint"] = args.checkpoint
     if args.budget:
-        budgets = {}
-        for pair in args.budget.split(","):
-            sigma, _, cap = pair.partition("=")
-            budgets[int(sigma)] = int(cap)
-        kwargs["budgets"] = budgets
+        kwargs["budgets"] = args.budget
     return kwargs
 
 
@@ -526,10 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (s_asf, s_ineq, s_cmp):
         p.add_argument("--len", type=int, required=True)
         p.add_argument("--workers", type=int, default=0)
-        p.add_argument("--witness-cap", type=int, default=16)
+        p.add_argument("--witness-cap", type=_non_negative_int, default=16)
         p.add_argument("--checkpoint", help="JSONL shard checkpoint path")
         p.add_argument(
-            "--budget", help="override budgets, e.g. '2=30,3=18'", default=None
+            "--budget", type=_budgets, help="override budgets, e.g. '2=30,3=18'", default=None
         )
         _add_output_flags(p)
     srch.set_defaults(func=_cmd_search)

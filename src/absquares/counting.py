@@ -1,14 +1,11 @@
 """Exact counting of distinct factors and abelian-square factors.
 
-Two independent routes are kept side by side:
-
-* the engine: the first occurrence (in suffix order) of each length-m factor
-  starts where the suffix array's LCP, scattered into start order, is below
-  m, and an O(1) prefix-count test decides whether its two halves share a
-  Parikh vector; for one long word (`FactorIndex`, `asf_profile`,
-  `inequivalent_profile`) or many short ones (`batch_counts`);
-* the oracle (`asf_profile_brute`, `inequivalent_profile_brute`): transparent
-  enumeration of all substrings with explicit per-letter counting.
+The first occurrence (in suffix order) of each length-m factor starts where
+the suffix array's LCP, scattered into start order, is below m, and an O(1)
+prefix-count test decides whether its two halves share a Parikh vector; for
+one long word (`FactorIndex`, `asf_profile`, `inequivalent_profile`) or many
+short ones (`batch_counts`).  The brute-force oracle the tests hold this
+engine to lives in `tests/counting_reference.py`.
 
 Whether a factor is an abelian square depends only on its content, so testing
 one occurrence per factor is enough, and no hashing is needed.
@@ -201,9 +198,6 @@ class FactorIndex:
     def distinct_count(self, length: int) -> int:
         return int(self.representative_positions(length).size) if length else 1
 
-    def distinct_factors(self, length: int) -> list[Word]:
-        return [self.word.factor(int(p), length) for p in self.representative_positions(length)]
-
     def _squares(self, lengths):
         """(m, square, half) of `_abelian_squares` per m of the ascending even
         `lengths`, at the starts i <= n - m with lcp_by_start[i] < m: the slice
@@ -310,38 +304,3 @@ def factor_counts_stable(word: Word, lengths) -> bool:
     """True when no length in `lengths` is unstable (see `unstable_lengths`)."""
     return not unstable_lengths(word, lengths)
 
-
-# -- brute-force oracles ----------------------------------------------------
-
-
-def _halves_match(data: bytes, start: int, length: int, sigma: int) -> bool:
-    mid, end = start + length // 2, start + length
-    return all(data.count(c, start, mid) == data.count(c, mid, end) for c in range(sigma))
-
-
-def asf_profile_brute(word: Word, max_length: int) -> ASFProfile:
-    """Oracle: enumerate every substring, deduplicate by content, test the
-    halves by counting letters."""
-    data, sigma = word.data, word.alphabet.size
-    counts = {}
-    for m in _profile_lengths(word, max_length):
-        seen = set()
-        for i in range(len(data) - m + 1):
-            piece = data[i : i + m]
-            if piece not in seen and _halves_match(data, i, m, sigma):
-                seen.add(piece)
-        counts[m] = len(seen)
-    return ASFProfile(max_length, counts)
-
-
-def inequivalent_profile_brute(word: Word, max_length: int) -> InequivalentProfile:
-    data, sigma = word.data, word.alphabet.size
-    per_length = {}
-    for m in _profile_lengths(word, max_length):
-        classes = set()
-        for i in range(len(data) - m + 1):
-            if _halves_match(data, i, m, sigma):
-                classes.add(tuple(data.count(letter, i, i + m) for letter in range(sigma)))
-        if classes:
-            per_length[m] = len(classes)
-    return InequivalentProfile(max_length, per_length)

@@ -8,20 +8,15 @@ coding accumulates.  Everything is computed on exact points
 rotation orbits the integer kernel of :mod:`~absquares.quadratic`); floats
 only filter in front of exact decisions, or format a report.
 
-Two independent routes for the discrepancy itself:
-
-* :func:`discrepancy` — the classical closed form on sorted points,
-  O(N log N), with a witness interval read off its two maximizers;
-* :func:`discrepancy_bruteforce` — enumerates candidate intervals with
-  endpoints at the sample points, each side open or closed, O(N^2).
-
-They must agree exactly; the test suite holds them to that.
+:func:`discrepancy` is the classical closed form on sorted points,
+O(N log N), with a witness interval read off its two maximizers.  The
+tests hold it exactly to an O(N^2) enumeration of candidate intervals,
+`discrepancy_bruteforce` in `tests/qi_reference.py`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -136,39 +131,6 @@ def discrepancy(seq, witness_limit: int = 256) -> DiscrepancyReport:
     top = max(range(n), key=lambda i: Fraction(i + 1, n) - ys[i])
     bottom = max(range(n), key=lambda i: ys[i] - Fraction(i, n))
     return _closed_form(n, top, bottom, ys[top], ys[bottom], witness_limit)
-
-
-def discrepancy_bruteforce(seq):
-    """Oracle twin of :func:`discrepancy` (value only): max |count/N - length|
-    over intervals with endpoints at sample points (or 0/1), each side
-    independently open or closed.  A closed right end / open left end
-    stands for the half-open interval shaved by an infinitesimal: it
-    changes the count, not the length."""
-    points = seq.points if isinstance(seq, PointSequence) else tuple(seq)
-    ys = _sorted_points(points)
-    if not ys:
-        raise ValueError("discrepancy of an empty point set")
-    n = len(ys)
-    starts = [(Fraction(0), True)]
-    ends = [(Fraction(1), False)]
-    for y in ys:
-        starts.append((y, True))   # [y, ...
-        starts.append((y, False))  # (y, ...
-        ends.append((y, False))    # ..., y)
-        ends.append((y, True))     # ..., y]
-    best = None
-    for g, g_closed in starts:
-        lo = bisect_left(ys, g) if g_closed else bisect_right(ys, g)
-        for d, d_closed in ends:
-            if d < g or (d == g and not (g_closed and d_closed)):
-                continue
-            hi = bisect_right(ys, d) if d_closed else bisect_left(ys, d)
-            if hi < lo:
-                continue
-            err = abs(Fraction(hi - lo, n) - (d - g))
-            if best is None or err > best:
-                best = err
-    return best
 
 
 _LOG_PHI = math.log((1 + math.sqrt(5)) / 2)

@@ -16,7 +16,6 @@ burning hours.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .counting import CHUNK_LETTERS, asf_profile_brute, batch_counts, inequivalent_profile_brute
+from .counting import CHUNK_LETTERS, batch_counts
 from .words import Alphabet, Word, is_abelian_square
 
 
@@ -352,19 +351,3 @@ def compare_alphabets(length: int, sigmas=(2, 3), **kwargs) -> AlphabetCompariso
     dominates = all(r.maximum <= binary_max for r in results[1:])
     return AlphabetComparison(length, results, dominates)
 
-
-def full_enumeration_max(sigma: int, length: int, objective: str) -> tuple:
-    """(maximum, attaining count) over ALL sigma^L words — no canonical
-    pruning.  Soundness oracle for the canonical search: every word goes
-    through the brute-force profiles of `counting`, not the batched engine."""
-    oracle = {
-        OBJECTIVE_DISTINCT: asf_profile_brute,
-        OBJECTIVE_INEQUIVALENT: inequivalent_profile_brute,
-    }[objective]
-    alphabet = Alphabet.default(sigma)
-    values = [
-        oracle(Word(alphabet, bytes(w)), length - length % 2).total
-        for w in itertools.product(range(sigma), repeat=length)
-    ]
-    best = max(values)
-    return best, values.count(best)

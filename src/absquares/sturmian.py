@@ -10,8 +10,8 @@ each n, the letter coded by the interval containing {rho + n*alpha}:
 All point arithmetic is exact (the integer kernel of `quadratic`), so
 interval membership at the discontinuities is decided correctly.  The number
 of distinct abelian-square factors of each even length n has a purely arithmetic
-expression over the orbit points {-i*alpha}, i <= n (`sturmian_asf`), which
-the combinatorial counting engine must reproduce on prefixes.
+expression over the orbit points {-i*alpha}, i <= n (`sturmian_asf_range`),
+which the combinatorial counting engine must reproduce on prefixes.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadratic import (
-    GOLDEN_ANGLE,
-    QuadraticIrrational,
-    as_qi,
-    exact_argsort,
-    floor_values,
-    frac_points,
-)
+from .quadratic import QuadraticIrrational, as_qi, exact_argsort, floor_values, frac_points
 from .words import BINARY_AB, Word
 
 CONVENTIONS = ("left", "right")
@@ -71,19 +64,11 @@ def sturmian_prefix(spec: SturmianSpec, length: int) -> Word:
     return Word(BINARY_AB, (1 - np.diff(steps)).astype(np.uint8).tobytes())
 
 
-def fibonacci_word(length: int) -> Word:
-    """Characteristic Sturmian word with the golden angle."""
-    return sturmian_prefix(SturmianSpec(GOLDEN_ANGLE, GOLDEN_ANGLE), length)
-
-
 def _irrational_angle(alpha) -> QuadraticIrrational:
     alpha = as_qi(alpha)
     if alpha.is_rational or not (0 < alpha < 1):
         raise ValueError("angle must be irrational in (0, 1)")
     return alpha
-
-
-# -- interval partition -----------------------------------------------------
 
 
 def _negative_orbit(alpha: QuadraticIrrational, n: int):
@@ -93,59 +78,7 @@ def _negative_orbit(alpha: QuadraticIrrational, n: int):
     return p, q, exact_argsort(p, q, alpha.d)
 
 
-@dataclass(frozen=True)
-class IntervalEntry:
-    """One cell [lo, hi) of the partition, the length-n factor its points
-    generate, and whether that factor is heavy (ceil(n*alpha) letters a)."""
-
-    lo: QuadraticIrrational
-    hi: QuadraticIrrational
-    factor: Word
-    heavy: bool
-
-
-@dataclass(frozen=True)
-class IntervalPartition:
-    n: int
-    points: tuple[QuadraticIrrational, ...]  # 0, interior points sorted, 1
-    entries: tuple[IntervalEntry, ...]
-
-
-def interval_partition(alpha, n: int) -> IntervalPartition:
-    """Partition of [0, 1) by the points {-i*alpha}, i = 1..n.
-
-    Each of the n+1 cells is constant for the length-n coding map; the factor
-    attached to a cell is read from its midpoint (which never sits on a
-    discontinuity, so both conventions agree on it).  A cell is heavy exactly
-    when it lies right of {-n*alpha}.
-    """
-    alpha = _irrational_angle(alpha)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p, q, order = _negative_orbit(alpha, n)
-    orbit = [QuadraticIrrational(int(p[i]), int(q[i]), alpha.r, alpha.d) for i in order]
-    threshold = orbit[int(np.flatnonzero(order == n - 1)[0])]  # {-n*alpha}
-    points = [as_qi(0)] + orbit + [as_qi(1)]
-    entries = []
-    for lo, hi in zip(points, points[1:]):
-        mid = (lo + hi) / 2
-        factor = sturmian_prefix(SturmianSpec(alpha, mid), n)
-        entries.append(IntervalEntry(lo, hi, factor, heavy=lo >= threshold))
-    return IntervalPartition(n, tuple(points), tuple(entries))
-
-
 # -- arithmetic abelian-square counts ----------------------------------------
-
-
-def sturmian_asf(alpha, n: int) -> int:
-    """Number of distinct abelian-square factors of length n (n even) of any
-    Sturmian word with the given angle, computed arithmetically: among the
-    points {-i*alpha}, i = 1..n, count those <= {-n*alpha} when floor(n*alpha)
-    is even, and those >= {-n*alpha} otherwise."""
-    alpha = _irrational_angle(alpha)
-    if n < 0 or n % 2 != 0:
-        raise ValueError(f"length must be even and >= 0, got {n}")
-    return sturmian_asf_range(alpha, n).get(n, 0)
 
 
 def _smaller_before(ranks: np.ndarray) -> np.ndarray:
@@ -167,10 +100,15 @@ def _smaller_before(ranks: np.ndarray) -> np.ndarray:
 
 
 def sturmian_asf_range(alpha, max_n: int) -> dict[int, int]:
-    """sturmian_asf for every even n <= max_n, sharing one sorted orbit.
+    """Number of distinct abelian-square factors of each even length
+    n <= max_n of any Sturmian word with the given angle, computed
+    arithmetically: among the points {-i*alpha}, i = 1..n, count those
+    <= {-n*alpha} when floor(n*alpha) is even, and those >= {-n*alpha}
+    otherwise.
 
-    With the global ranks of {-i*alpha}, the count at n is read off the
-    number of earlier points below {-n*alpha}, found offline for all n.
+    All n share one sorted orbit: with the global ranks of {-i*alpha}, the
+    count at n is read off the number of earlier points below {-n*alpha},
+    found offline for all n.
     """
     alpha = _irrational_angle(alpha)
     if max_n < 0:

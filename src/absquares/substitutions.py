@@ -1,17 +1,13 @@
-"""Substitutions on words, their fixed points, and Thue-Morse structure.
+"""Substitutions on words, their fixed points, and substitution files.
 
-The Thue-Morse word t is the fixed point of 0 -> 01, 1 -> 10 starting from 0.
-Its factor complexity satisfies p(2n) = p(n) + p(n+1) and p(2n+1) = 2 p(n+1)
-once n >= 2; the three base values are bootstrapped by enumerating factors of
-a prefix (see `tm_complexity`).  Factors that begin and end with the same
-letter lift to abelian-square factors via the squared substitution
-(`tm_abelian_square_lift`).
+The Thue-Morse word t is the fixed point of 0 -> 01, 1 -> 10 starting from 0
+(`thue_morse_prefix`).  Its complexity recurrences and square lifts, which
+the tests check against the counting engine, live in `tests/paper_facts.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .words import BINARY_01, Alphabet, Word
@@ -102,84 +98,6 @@ _TM_SPEC = FixedPointSpec(THUE_MORSE, 0)
 
 def thue_morse_prefix(length: int) -> Word:
     return fixed_point_prefix(_TM_SPEC, length)
-
-
-@lru_cache(maxsize=1)
-def _tm_base_complexity() -> dict[int, int]:
-    """Factor counts for lengths 1..3, enumerated from a prefix long enough
-    that the counts have stabilized."""
-    from .counting import FactorIndex
-
-    idx = FactorIndex(thue_morse_prefix(1024), 3)
-    return {n: idx.distinct_count(n) for n in (1, 2, 3)}
-
-
-def tm_complexity(n: int) -> int:
-    """Factor complexity p(n) of the Thue-Morse word.
-
-    Base values for n <= 3 come from enumeration; larger lengths use the
-    recurrences p(2m) = p(m) + p(m+1) and p(2m+1) = 2 p(m+1), valid from
-    length 4 on.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    table = dict(_tm_base_complexity())
-    for m in range(4, n + 1):
-        half = m // 2
-        table[m] = table[half] + table[half + 1] if m % 2 == 0 else 2 * table[half + 1]
-    return table[n]
-
-
-@dataclass(frozen=True)
-class BoundaryCounts:
-    """Distinct length-n factors split by whether they begin and end with the
-    same letter (f_aa) or different letters (f_ab)."""
-
-    n: int
-    f_aa: int
-    f_ab: int
-
-    @property
-    def p_n(self) -> int:
-        return self.f_aa + self.f_ab
-
-
-def boundary_counts(prefix: Word, n: int, index: FactorIndex | None = None) -> BoundaryCounts:
-    """Boundary-letter statistics over the distinct length-n factors of the
-    given prefix.  The caller is responsible for the prefix being long enough
-    to contain every factor (see `counting.factor_counts_stable`)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if index is None:
-        from .counting import FactorIndex
-
-        index = FactorIndex(prefix, n)
-    import numpy as np
-
-    reps = index.representative_positions(n)
-    arr = index.arr
-    same = int(np.count_nonzero(arr[reps] == arr[reps + n - 1]))
-    return BoundaryCounts(n, same, int(reps.size) - same)
-
-
-def tm_abelian_square_lift(factor: Word) -> tuple[Word, Word]:
-    """Lift a Thue-Morse factor that begins and ends with the same letter to
-    two abelian-square factors: its image under the squared substitution
-    (length 4|u|) and that image with first and last letter removed
-    (length 4|u| - 2)."""
-    if factor.alphabet != BINARY_01:
-        raise ValueError("expected a word over the alphabet 01")
-    if len(factor) < 2:
-        raise ValueError("factor must have length >= 2")
-    if factor.data[0] != factor.data[-1]:
-        raise ValueError("factor must begin and end with the same letter")
-    probe = thue_morse_prefix(max(4096, 16 * len(factor)))
-    if probe.data.find(factor.data) < 0:
-        raise ValueError("not a factor of the Thue-Morse word")
-    lifted = THUE_MORSE.apply(THUE_MORSE.apply(factor))
-    return lifted, lifted[1:-1]
 
 
 # -- substitution text files ------------------------------------------------

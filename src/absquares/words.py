@@ -22,6 +22,8 @@ class Alphabet:
     def __post_init__(self):
         if len(self.symbols) < 1:
             raise ValueError("alphabet needs at least one symbol")
+        if len(self.symbols) > 256:  # a letter is one byte
+            raise ValueError(f"alphabet has {len(self.symbols)} symbols; the limit is 256")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError(f"duplicate symbols in alphabet: {self.symbols!r}")
         for s in self.symbols:
@@ -156,21 +158,6 @@ class Word:
         return Word(self.alphabet, self.data[start : start + length])
 
 
-@dataclass(frozen=True)
-class ParikhVector:
-    """Letter-occurrence counts of a word, indexed like its alphabet."""
-
-    counts: tuple[int, ...]
-
-
-def parikh(word: Word) -> ParikhVector:
-    sigma = word.alphabet.size
-    counts = [0] * sigma
-    for letter in word.data:
-        counts[letter] += 1
-    return ParikhVector(tuple(counts))
-
-
 def is_abelian_kpower(word: Word, k: int) -> bool:
     """True iff the word splits into k consecutive blocks sharing a Parikh vector.
 
@@ -196,25 +183,6 @@ def is_abelian_kpower(word: Word, k: int) -> bool:
 
 def is_abelian_square(word: Word) -> bool:
     return len(word) % 2 == 0 and is_abelian_kpower(word, 2)
-
-
-def is_balanced(word: Word) -> bool:
-    """Balance over a binary alphabet: counts of letter 0 in equal-length
-    factors never differ by more than one."""
-    if word.alphabet.size != 2:
-        raise ValueError("balance is defined here for binary alphabets only")
-    import numpy as np
-
-    arr = word.to_array()
-    n = arr.size
-    if n < 2:
-        return True
-    prefix = np.concatenate(([0], np.cumsum(arr == 0, dtype=np.int64)))
-    for length in range(2, n):
-        window = prefix[length:] - prefix[:-length]
-        if int(window.max()) - int(window.min()) > 1:
-            return False
-    return True
 
 
 # -- word text files -------------------------------------------------------

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from absquares.counting import FactorIndex
-from absquares.sturmian import fibonacci_word
 from absquares.substitutions import thue_morse_prefix
+from paper_facts import fibonacci_word
 
 settings.register_profile(
     "default",

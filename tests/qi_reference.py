@@ -1,7 +1,9 @@
 """Reference versions of the rotation-orbit and continued-fraction loops, one
 QuadraticIrrational per point or complete quotient.  The package computes the
 same quantities with the integer kernel of `absquares.quadratic`; these slow,
-obviously-exact loops are what the kernel tests compare it against."""
+obviously-exact loops are what the kernel tests compare it against.  The
+brute-force discrepancy is the oracle of the closed form in
+`absquares.discrepancy`."""
 
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
@@ -99,6 +101,39 @@ def closed_form(points):
     surplus = max(Fraction(i + 1, n) - y for i, y in enumerate(ys))
     deficit = max(y - Fraction(i, n) for i, y in enumerate(ys))
     return surplus + deficit, surplus, deficit
+
+
+def discrepancy_bruteforce(seq):
+    """Oracle twin of `absquares.discrepancy.discrepancy` (value only):
+    max |count/N - length| over intervals with endpoints at sample points
+    (or 0/1), each side independently open or closed, O(N^2).  A closed
+    right end / open left end stands for the half-open interval shaved by an
+    infinitesimal: it changes the count, not the length.  `seq` is a
+    `PointSequence` or an iterable of exact points."""
+    ys = sorted(getattr(seq, "points", seq))
+    if not ys:
+        raise ValueError("discrepancy of an empty point set")
+    n = len(ys)
+    starts = [(Fraction(0), True)]
+    ends = [(Fraction(1), False)]
+    for y in ys:
+        starts.append((y, True))   # [y, ...
+        starts.append((y, False))  # (y, ...
+        ends.append((y, False))    # ..., y)
+        ends.append((y, True))     # ..., y]
+    best = None
+    for g, g_closed in starts:
+        lo = bisect_left(ys, g) if g_closed else bisect_right(ys, g)
+        for d, d_closed in ends:
+            if d < g or (d == g and not (g_closed and d_closed)):
+                continue
+            hi = bisect_right(ys, d) if d_closed else bisect_left(ys, d)
+            if hi < lo:
+                continue
+            err = abs(Fraction(hi - lo, n) - (d - g))
+            if best is None or err > best:
+                best = err
+    return best
 
 
 def cf_expand(x, max_steps: int) -> ContinuedFraction:

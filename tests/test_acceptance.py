@@ -21,46 +21,33 @@ import pytest
 
 from absquares.analysis import fit_exponent, random_baseline, triple_block
 from absquares.cli import main as cli_main
-from absquares.counting import (
-    FactorIndex,
-    asf_profile,
-    asf_profile_brute,
-    inequivalent_profile,
-    inequivalent_profile_brute,
-)
+from absquares.counting import FactorIndex, asf_profile, inequivalent_profile
 from absquares.discrepancy import (
     PointSequence,
     certificate_sweep,
     discrepancy,
-    discrepancy_bruteforce,
     rotation_discrepancy,
     rotation_orbit,
 )
 from absquares.quadratic import GOLDEN_ANGLE, SILVER_ANGLE
-from absquares.search import (
-    OBJECTIVE_DISTINCT,
+from absquares.search import OBJECTIVE_DISTINCT, max_asf, witness_value
+from absquares.sturmian import SturmianSpec, sturmian_asf_range, sturmian_prefix
+from absquares.words import Alphabet, Word, is_abelian_kpower, write_word_file
+from counting_reference import (
+    asf_profile_brute,
     full_enumeration_max,
-    max_asf,
-    witness_value,
+    inequivalent_profile_brute,
 )
-from absquares.sturmian import (
-    SturmianSpec,
+from paper_facts import (
+    boundary_counts,
     fibonacci_word,
     interval_partition,
-    sturmian_asf,
-    sturmian_asf_range,
-    sturmian_prefix,
-)
-from absquares.substitutions import boundary_counts, tm_complexity
-from absquares.words import (
-    Alphabet,
-    Word,
-    is_abelian_kpower,
     is_balanced,
     parikh,
-    write_word_file,
+    sturmian_asf,
+    tm_complexity,
 )
-
+from qi_reference import discrepancy_bruteforce
 
 def report(number, name, ok, detail, started):
     elapsed = time.monotonic() - started

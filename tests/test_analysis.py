@@ -12,10 +12,11 @@ from absquares.analysis import (
     richness_report,
     triple_block,
 )
-from absquares.counting import asf_profile, asf_profile_brute
-from absquares.sturmian import fibonacci_word
+from absquares.counting import asf_profile
 from absquares.substitutions import thue_morse_prefix
 from absquares.words import BINARY_AB, Word
+from counting_reference import asf_profile_brute
+from paper_facts import distinct_factors, fibonacci_word
 
 
 def total_asf(word):
@@ -63,7 +64,7 @@ class TestRichness:
 
         idx = FactorIndex(prefix)
         for n in (6, 10):
-            totals = [total_asf(f) for f in idx.distinct_factors(n)]
+            totals = [total_asf(f) for f in distinct_factors(idx, n)]
             assert report.avg_per_n[n] == Fraction(sum(totals), len(totals))
             assert report.min_per_n[n] == min(totals)
 
@@ -113,7 +114,7 @@ class TestRecurrenceIndex:
             from absquares.counting import FactorIndex
 
             idx = FactorIndex(word)
-            factors = {f.data for f in idx.distinct_factors(n)}
+            factors = {f.data for f in distinct_factors(idx, n)}
             for start in range(0, len(word) - window, 97):
                 chunk = word.data[start : start + window]
                 assert all(chunk.find(f) >= 0 for f in factors)

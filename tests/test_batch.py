@@ -11,15 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from counting_reference import asf_profile_brute, inequivalent_profile_brute
 from lcp_reference import kasai
 from absquares.analysis import random_baseline
 from absquares.counting import (
     CHUNK_LETTERS,
     asf_profile,
-    asf_profile_brute,
     batch_counts,
     build_suffix_array,
-    inequivalent_profile_brute,
     lcp_array,
 )
 from absquares.substitutions import thue_morse_prefix

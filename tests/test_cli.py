@@ -92,6 +92,13 @@ class TestCount:
     def test_max_len_beyond_word(self, capsys, word_file):
         assert main(["count", word_file, "--max-len", "10"]) == 1
 
+    def test_alphabet_over_256_symbols(self, capsys, tmp_path):
+        symbols = "".join(chr(0x4E00 + i) for i in range(300))
+        path = tmp_path / "wide.txt"
+        path.write_text(f"#alphabet: {symbols}\n{symbols[:4]}\n", encoding="utf-8")
+        assert main(["count", str(path)]) == 1
+        assert capsys.readouterr().err == "error: alphabet has 300 symbols; the limit is 256\n"
+
 
 class TestArithmeticCommands:
     def test_sturmian_asf_table(self, capsys):
@@ -203,6 +210,19 @@ class TestSearchCommands:
             "--budget", "5=4",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--budget", "2=abc"), ("--budget", "2"), ("--witness-cap", "-3")]
+    )
+    def test_search_malformed_flag_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "max-asf", "--sigma", "2", "--len", "6", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: " in errors[0]
+        assert captured.err.startswith("usage: absquares search max-asf")
 
     def test_search_over_budget(self, capsys):
         assert main(["search", "max-asf", "--sigma", "2", "--len", "30"]) == 1

@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from counting_reference import asf_profile_brute, inequivalent_profile_brute
 from occurrence_reference import occurrence_blocks
+from paper_facts import distinct_factors, fibonacci_word
 from absquares.counting import (
     FactorIndex,
     asf_profile,
-    asf_profile_brute,
     factor_counts_stable,
     inequivalent_profile,
-    inequivalent_profile_brute,
 )
 from absquares.words import Alphabet, Word
-from absquares.sturmian import fibonacci_word
 
 
 def random_word(draw, sigma, max_size=40):
@@ -51,7 +50,7 @@ class TestFactorIndex:
 
     def test_distinct_factors_sorted_and_complete(self):
         word = Word.from_text("banana", Alphabet.from_symbols("abn"))
-        got = [f.text() for f in FactorIndex(word, 2).distinct_factors(2)]
+        got = [f.text() for f in distinct_factors(FactorIndex(word, 2), 2)]
         assert got == ["an", "ba", "na"]
 
     def test_occurrence_blocks_cover_all_positions(self):

@@ -13,9 +13,9 @@ import pytest
 
 from lcp_reference import kasai
 from occurrence_reference import occurrence_blocks, recurrence_by_blocks
+from paper_facts import distinct_factors, fibonacci_word
 from absquares.analysis import recurrence_index_estimate
 from absquares.counting import FactorIndex, asf_profile, inequivalent_profile
-from absquares.sturmian import fibonacci_word
 from absquares.substitutions import thue_morse_prefix
 from absquares.words import Alphabet, Word
 
@@ -130,7 +130,7 @@ def test_query_above_depth_raises(depth):
     with pytest.raises(ValueError):
         recurrence_index_estimate(word, above, index)
     with pytest.raises(ValueError):
-        index.distinct_factors(above)
+        distinct_factors(index, above)
     with pytest.raises(ValueError):
         index.abelian_square_count(even_above)
     with pytest.raises(ValueError):

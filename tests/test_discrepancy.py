@@ -11,13 +11,13 @@ from absquares.discrepancy import (
     PointSequence,
     certificate_sweep,
     discrepancy,
-    discrepancy_bruteforce,
     growth_certificate,
     kn2_bound,
     rotation_discrepancy,
     rotation_orbit,
 )
 from absquares.quadratic import GOLDEN_ANGLE, QI, SILVER_ANGLE
+from qi_reference import discrepancy_bruteforce
 
 
 def witness_error(points, witness):

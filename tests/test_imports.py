@@ -9,6 +9,7 @@ so the second rule carries the guard to those imports.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,132 @@ def test_scan_flags_an_unread_import_inside_a_function():
         "    return os.sep\n"
     )
     assert unread_imports(source) == ["os (line 3)"]
+
+
+# -- every package definition is reached --------------------------------------
+
+LAYERS = PACKAGE.parent.parent / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def names_read(node) -> set[str]:
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def unreached_definitions(sources: dict[str, str], targets) -> list[str]:
+    """The module-level functions and classes of `sources` (module name ->
+    source) that nothing reaches: not the CLI module, not the code that runs
+    when a module is imported, not a benchmark target ("<module>.<name>...")
+    and not, by name, a definition that is reached itself."""
+    definitions, roots = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                definitions[f"{module}.{node.name}"] = node
+                if module == "cli":
+                    roots |= names_read(node)
+            else:
+                roots |= names_read(node)
+    roots |= {target.split(".")[1] for target in targets}
+    reached, frontier = set(), roots
+    while frontier:
+        reached |= frontier
+        frontier = set().union(
+            *(names_read(node) for qualified, node in definitions.items()
+              if qualified.split(".")[1] in frontier)
+        ) - reached
+    return sorted(
+        qualified for qualified in definitions
+        if not qualified.startswith("cli.") and qualified.split(".")[1] not in reached
+    )
+
+
+def test_every_definition_is_reached_by_the_cli_or_the_benchmark():
+    layers = load_layers()
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreached_definitions(sources, layers.SPAN_TARGETS + layers.COUNT_TARGETS) == []
+
+
+def test_reach_scan_follows_calls_from_the_cli_and_the_targets():
+    sources = {
+        "cli": "def main():\n    return used()\n",
+        "engine": (
+            "LIMIT = limit()\n"
+            "def limit():\n    return 3\n"
+            "def used():\n    return helper()\n"
+            "def helper():\n    return 1\n"
+            "def traced():\n    return 2\n"
+            "def oracle():\n    return used() + orphan()\n"
+            "def orphan():\n    return 0\n"
+        ),
+    }
+    assert unreached_definitions(sources, ("engine.traced",)) == [
+        "engine.oracle", "engine.orphan"
+    ]
+
+
+# -- the oracles share no code with the engine ----------------------------------
+
+REFERENCES = sorted(Path(__file__).resolve().parent.glob("*_reference.py"))
+# What a reference module may import from the package: words, exact numbers
+# and the profiles' result types, nothing that computes an answer.
+ORACLE_MAY_IMPORT = {
+    "absquares.words": None,  # every name
+    "absquares.quadratic": {"QuadraticIrrational", "ContinuedFraction"},
+    "absquares.counting": {"ASFProfile", "InequivalentProfile"},
+}
+
+
+def engine_imports(source: str) -> list[str]:
+    """The imports from `absquares` that ORACLE_MAY_IMPORT does not allow."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "absquares":
+            imported = [(f"absquares.{alias.name}", None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = [(node.module or "", alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in imported:
+            if module.split(".")[0] != "absquares":
+                continue
+            allowed = ORACLE_MAY_IMPORT.get(module, set())
+            if allowed is not None and name not in allowed:
+                found.append(f"{module}{'.' + name if name else ''} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", REFERENCES, ids=lambda path: path.name)
+def test_reference_module_imports_no_engine(module):
+    assert engine_imports(module.read_text()) == []
+
+
+def test_engine_import_scan():
+    source = (
+        "import itertools\n"
+        "import absquares.words\n"
+        "from absquares import words, counting\n"
+        "from absquares.counting import ASFProfile, FactorIndex\n"
+        "from absquares.quadratic import ContinuedFraction\n"
+        "def f():\n"
+        "    from absquares.sturmian import sturmian_prefix\n"
+        "    import absquares\n"
+    )
+    assert engine_imports(source) == [
+        "absquares.counting (line 3)",
+        "absquares.counting.FactorIndex (line 4)",
+        "absquares.sturmian.sturmian_prefix (line 7)",
+        "absquares (line 8)",
+    ]

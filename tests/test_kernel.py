@@ -21,7 +21,8 @@ from absquares.quadratic import (
     floor_values,
     frac_points,
 )
-from absquares.sturmian import SturmianSpec, sturmian_asf, sturmian_asf_range, sturmian_prefix
+from absquares.sturmian import SturmianSpec, sturmian_asf_range, sturmian_prefix
+from paper_facts import sturmian_asf
 
 LARGE_D = QI(-31622, 1, 1, 1000000007)
 # B*B*d leaves int64 at k = 1 already, so every step takes the Python-int path

@@ -14,13 +14,13 @@ from absquares.search import (
     OBJECTIVE_INEQUIVALENT,
     canonical_words,
     compare_alphabets,
-    full_enumeration_max,
     max_asf,
     max_inequivalent,
     witness_value,
 )
 from absquares.counting import asf_profile, inequivalent_profile
 from absquares.words import Word
+from counting_reference import full_enumeration_max
 
 
 class TestCanonicalWords:

@@ -8,13 +8,18 @@ from absquares.counting import FactorIndex, asf_profile
 from absquares.quadratic import GOLDEN_ANGLE, QI, SILVER_ANGLE
 from absquares.sturmian import (
     SturmianSpec,
-    fibonacci_word,
-    interval_partition,
-    sturmian_asf,
     sturmian_asf_range,
     sturmian_prefix,
 )
-from absquares.words import is_abelian_square, is_balanced, parikh
+from absquares.words import is_abelian_square
+from paper_facts import (
+    distinct_factors,
+    fibonacci_word,
+    interval_partition,
+    is_balanced,
+    parikh,
+    sturmian_asf,
+)
 
 # a third quadratic angle to keep the golden/silver pair honest; its
 # continued fraction [0; 1, (2, 1)] needs a preperiod before folding
@@ -76,8 +81,8 @@ class TestPrefixes:
         left_idx, right_idx = FactorIndex(left), FactorIndex(right)
         for n in range(1, 61):
             assert left_idx.distinct_count(n) == n + 1  # adequate prefix
-            left_set = {f.text() for f in left_idx.distinct_factors(n)}
-            right_set = {f.text() for f in right_idx.distinct_factors(n)}
+            left_set = {f.text() for f in distinct_factors(left_idx, n)}
+            right_set = {f.text() for f in distinct_factors(right_idx, n)}
             assert left_set == right_set
 
 
@@ -91,7 +96,7 @@ class TestIntervalPartition:
         part = interval_partition(GOLDEN_ANGLE, 6)
         factors = {e.factor.text() for e in part.entries}
         idx = FactorIndex(fibonacci_word(500))
-        assert factors == {f.text() for f in idx.distinct_factors(6)}
+        assert factors == {f.text() for f in distinct_factors(idx, 6)}
 
     def test_heavy_flag_matches_a_count(self):
         part = interval_partition(GOLDEN_ANGLE, 9)

@@ -8,18 +8,15 @@ from hypothesis import given, strategies as st
 import substitution_reference
 from absquares.counting import factor_counts_stable
 from absquares.substitutions import (
-    BoundaryCounts,
     FixedPointSpec,
     Substitution,
     THUE_MORSE,
-    boundary_counts,
     fixed_point_prefix,
     parse_substitution_lines,
     thue_morse_prefix,
-    tm_abelian_square_lift,
-    tm_complexity,
 )
 from absquares.words import BINARY_01, Alphabet, Word, is_abelian_square
+from paper_facts import BoundaryCounts, boundary_counts, tm_abelian_square_lift, tm_complexity
 
 
 class TestSubstitution:

@@ -10,13 +10,11 @@ from absquares.words import (
     infer_alphabet,
     is_abelian_kpower,
     is_abelian_square,
-    is_balanced,
-    parikh,
     parse_word_lines,
     format_word_lines,
     read_word_file,
 )
-from absquares.sturmian import fibonacci_word
+from paper_facts import fibonacci_word, is_balanced, parikh
 
 
 def w(text):
@@ -74,6 +72,16 @@ class TestWordBasics:
 
     def test_infer_alphabet_sorts_symbols(self):
         assert infer_alphabet("cba").symbols == ("a", "b", "c")
+
+    def test_alphabet_holds_at_most_256_symbols(self):
+        # a letter is stored as one byte
+        symbols = tuple(chr(0x4E00 + i) for i in range(257))
+        assert Alphabet(symbols[:256]).size == 256
+        Word.from_text("".join(symbols[:256]), Alphabet(symbols[:256]))
+        with pytest.raises(ValueError, match="alphabet has 257 symbols; the limit is 256"):
+            Alphabet(symbols)
+        with pytest.raises(ValueError, match="the limit is 256"):
+            infer_alphabet("".join(symbols))
 
     @given(binary_words)
     def test_reverse_involution(self, word):
