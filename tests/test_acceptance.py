@@ -49,6 +49,7 @@ from paper_facts import (
 )
 from qi_reference import discrepancy_bruteforce
 
+
 def report(number, name, ok, detail, started):
     elapsed = time.monotonic() - started
     status = "PASS" if ok else "FAIL"
