@@ -18,7 +18,6 @@ numbers; see :class:`InadequatePrefixError`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,9 +189,9 @@ class RandomBaselineReport:
     """Total abelian-square content of uniform random binary words."""
 
     lengths: tuple
-    trials: int | None  # None means exhaustive enumeration
-    seed: int | None
-    means: tuple  # per length; Fractions when exhaustive, floats otherwise
+    trials: int
+    seed: int
+    means: tuple  # per length
     stddevs: tuple
     exponent: float | None  # log-log slope across lengths, needs >= 2 points
 
@@ -201,53 +200,32 @@ class RandomBaselineReport:
             yield {"n": n, "mean": mean, "stddev": std}
 
 
-def _baseline_rows(rng, n: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of a baseline as a (hi - lo, n) letter array: the words
-    whose binary codes they are when `rng` is None (exhaustive mode), else
-    one draw per trial, so the stream is that of counting each word alone."""
-    if rng is None:
-        return ((np.arange(lo, hi)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-    return np.stack([rng.integers(0, 2, size=n, dtype=np.uint8) for _ in range(lo, hi)])
+def _baseline_rows(rng, n: int, rows: int) -> np.ndarray:
+    """The next `rows` trials of a baseline as a (rows, n) letter array, one
+    draw per trial, so the stream is that of counting each word alone."""
+    return np.stack([rng.integers(0, 2, size=n, dtype=np.uint8) for _ in range(rows)])
 
 
-def random_baseline(
-    lengths, trials: int | None = 100, seed: int | None = 0
-) -> RandomBaselineReport:
-    """Mean/stddev of total distinct abelian-square factors.
-
-    ``trials=None`` enumerates all binary words of each length instead of
-    sampling (exact, only sensible for small lengths); otherwise words
-    are drawn from ``numpy.random.default_rng(seed)`` so reports are
-    reproducible bit for bit.
-    """
+def random_baseline(lengths, trials: int = 100, seed: int = 0) -> RandomBaselineReport:
+    """Mean/stddev of total distinct abelian-square factors over ``trials``
+    words per length drawn from ``numpy.random.default_rng(seed)``, so
+    reports are reproducible bit for bit."""
     lengths = tuple(sorted(set(int(n) for n in lengths)))
     if not lengths or lengths[0] < 1:
         raise ValueError("lengths must be positive")
-    if trials is not None and trials < 1:
+    if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = None if trials is None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     means, stds = [], []
     for n in lengths:
-        if trials is None and n > 20:
-            raise ValueError("exhaustive mode is for small lengths")
-        count = 1 << n if trials is None else trials
         group = max(1, CHUNK_LETTERS // n)  # rows drawn and counted together
         totals = np.concatenate([
-            batch_counts(_baseline_rows(rng, n, lo, min(lo + group, count)), 2).sum(axis=1)
-            for lo in range(0, count, group)
+            batch_counts(_baseline_rows(rng, n, min(group, trials - lo)), 2).sum(axis=1)
+            for lo in range(0, trials, group)
         ])
-        if trials is None:
-            mean = Fraction(int(totals.sum()), totals.size)
-            means.append(mean)
-            var = sum((int(t) - mean) ** 2 for t in totals) / totals.size
-            stds.append(math.sqrt(var))
-        else:
-            means.append(float(totals.mean()))
-            stds.append(float(totals.std()))
+        means.append(float(totals.mean()))
+        stds.append(float(totals.std()))
     exponent = None
     if len(lengths) >= 2 and all(m > 0 for m in means):
-        exponent = fit_exponent(lengths, [float(m) for m in means])
-    return RandomBaselineReport(
-        lengths, trials, None if trials is None else seed,
-        tuple(means), tuple(stds), exponent,
-    )
+        exponent = fit_exponent(lengths, means)
+    return RandomBaselineReport(lengths, trials, seed, tuple(means), tuple(stds), exponent)

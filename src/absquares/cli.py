@@ -374,15 +374,12 @@ def _cmd_baseline(args) -> int:
 
 
 def _search_kwargs(args) -> dict:
-    kwargs = {
+    return {
         "workers": args.workers,
         "witness_cap": args.witness_cap,
+        "checkpoint": args.checkpoint or None,  # Path("") would name the current directory
+        "budgets": args.budget or None,
     }
-    if args.checkpoint:
-        kwargs["checkpoint"] = args.checkpoint
-    if args.budget:
-        kwargs["budgets"] = args.budget
-    return kwargs
 
 
 def _cmd_search(args) -> int:
@@ -539,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_cmp.add_argument("--sigmas", type=_int_list, default=[2, 3])
     for p in (s_asf, s_ineq, s_cmp):
         p.add_argument("--len", type=int, required=True)
-        p.add_argument("--workers", type=int, default=0)
+        p.add_argument("--workers", type=_non_negative_int, default=0)
         p.add_argument("--witness-cap", type=_non_negative_int, default=16)
         p.add_argument("--checkpoint", help="JSONL shard checkpoint path")
         p.add_argument(

@@ -1,10 +1,11 @@
 """Exact counting of distinct factors and abelian-square factors.
 
-The first occurrence (in suffix order) of each length-m factor starts where
-the suffix array's LCP, scattered into start order, is below m, and an O(1)
-prefix-count test decides whether its two halves share a Parikh vector; for
-one long word (`FactorIndex`, `asf_profile`, `inequivalent_profile`) or many
-short ones (`batch_counts`).  The brute-force oracle the tests hold this
+One loop over the even lengths m, `_square_loop`, serves one long word
+(`FactorIndex`, `asf_profile`, `inequivalent_profile`) and a batch of short
+words (`batch_counts`) alike: the first occurrence (in suffix order) of each
+length-m factor starts where the suffix array's LCP, scattered into start
+order, is below m, and an O(1) prefix-count test decides whether its two
+halves share a Parikh vector.  The brute-force oracle the tests hold this
 engine to lives in `tests/counting_reference.py`.
 
 Whether a factor is an abelian square depends only on its content, so testing
@@ -139,32 +140,52 @@ def _classes_per_row(keep: np.ndarray, half: np.ndarray) -> np.ndarray:
     return np.bincount(rows[fresh], minlength=keep.shape[0])
 
 
+def _suffix_pass(letters: np.ndarray, depth: int):
+    """The suffix order and LCP of each row of a (W, n) letter array, and
+    the LCP in start order: by_start[w, order[w, r]] = lcp[w, r]."""
+    order, ranks = build_suffix_array(letters, depth)
+    lcp = lcp_array(order, ranks)
+    by_start = np.empty_like(lcp)
+    by_start[np.arange(lcp.shape[0])[:, None], order] = lcp
+    return order, lcp, by_start
+
+
+def _square_loop(prefix: np.ndarray, by_start, lengths):
+    """(m, square, half) of `_abelian_squares` per m of the ascending even
+    `lengths`, on every row of the prefix counts, at the starts i <= n - m
+    with by_start[w, i] < m (all of them when `by_start` is None): the slice
+    of them all, masked, unless a single row's LCP reaches max(lengths) and
+    at most half pass, which are gathered from its starts below that."""
+    n, top = prefix.shape[-1] - 1, max(lengths, default=0)
+    listed = by_start is not None and by_start.shape[0] == 1 and by_start.max(initial=0) >= top
+    pool = np.flatnonzero(by_start[0] < top).astype(np.int32) if listed else None
+    for m in lengths:
+        if pool is not None:
+            starts = pool[(by_start[0, pool] < m) & (pool <= n - m)]
+        if pool is None or 2 * starts.size > n - m + 1:
+            starts = slice(0, n - m + 1)
+        square, half = _abelian_squares(prefix, starts, m)
+        if by_start is not None:
+            square &= by_start[:, starts] < m  # already true where gathered
+        yield m, square, half
+
+
 def batch_counts(words, sigma: int, inequivalent: bool = False) -> np.ndarray:
     """Abelian-square counts of W words of one length L: column j of the
     (W, L // 2) result counts, per row of the (W, L) letter array `words`,
     the distinct abelian-square factors of length 2(j + 1), or with
-    `inequivalent` their Parikh classes.  A start whose LCP with the suffix
-    before it is below m holds the first occurrence of its length-m factor;
-    one prefix-count test per length covers all rows."""
+    `inequivalent` their Parikh classes (no suffix pass: any start will do)."""
     words = np.asarray(words, dtype=np.uint8)
     w, n = words.shape
     out = np.zeros((w, n // 2), dtype=np.int64)
     step = max(1, CHUNK_LETTERS // max(n, 1))
     for lo in range(0, w, step):
         chunk = words[lo : lo + step]
-        prefix = _prefix_counts(chunk, sigma)
-        if not inequivalent:  # classes need no deduplication of factors
-            order, ranks = build_suffix_array(chunk, n)
-            lcp = np.empty_like(order)  # by start position
-            np.put_along_axis(lcp, order, lcp_array(order, ranks), axis=1)
-            del ranks
-        for m in range(2, n + 1, 2):
-            starts = slice(0, n - m + 1)
-            square, half = _abelian_squares(prefix, starts, m)
-            if inequivalent:
-                out[lo : lo + step, m // 2 - 1] = _classes_per_row(square, half)
-            else:
-                out[lo : lo + step, m // 2 - 1] = (square & (lcp[:, starts] < m)).sum(axis=1)
+        by_start = None if inequivalent else _suffix_pass(chunk, n)[2]
+        squares = _square_loop(_prefix_counts(chunk, sigma), by_start, range(2, n + 1, 2))
+        for m, square, half in squares:
+            count = _classes_per_row(square, half) if inequivalent else square.sum(axis=1)
+            out[lo : lo + step, m // 2 - 1] = count
     return out
 
 
@@ -181,9 +202,8 @@ class FactorIndex:
         self.n = len(word)
         self.depth = self.n if depth is None else min(depth, self.n)
         self.arr = word.to_array()
-        order, ranks = build_suffix_array(self.arr[None], self.depth)
-        self.sa = order[0]
-        self.lcp = lcp_array(order, ranks)[0]
+        order, lcp, by_start = _suffix_pass(self.arr[None], self.depth)
+        self.sa, self.lcp, self.by_start = order[0], lcp[0], by_start[0]
         self.prefix = _prefix_counts(self.arr[None], word.alphabet.size)
 
     def representative_positions(self, length: int) -> np.ndarray:
@@ -199,27 +219,12 @@ class FactorIndex:
         return int(self.representative_positions(length).size) if length else 1
 
     def _squares(self, lengths):
-        """(m, square, half) of `_abelian_squares` per m of the ascending even
-        `lengths`, at the starts i <= n - m with lcp_by_start[i] < m: the slice
-        of them all, masked, where over half pass, else gathered from a list of
-        the starts with lcp_by_start < max(lengths), if that is not all."""
-        n, top = self.n, max(lengths, default=0)
+        top = max(lengths, default=0)
         if top % 2 != 0 or min(lengths, default=2) < 2:
             raise ValueError(f"abelian squares have even positive length, got {top}")
         if top > self.depth:
             raise ValueError(f"factor length {top} out of range 0..{self.depth}")
-        by_start = np.empty_like(self.lcp)
-        by_start[self.sa] = self.lcp
-        listed = by_start.max(initial=0) >= top  # else every start is a candidate
-        pool = np.flatnonzero(by_start < top).astype(np.int32) if listed else None
-        for m in lengths:
-            if pool is not None:
-                starts = pool[(by_start[pool] < m) & (pool <= n - m)]
-            if pool is None or 2 * starts.size > n - m + 1:
-                starts = slice(0, n - m + 1)
-            square, half = _abelian_squares(self.prefix, starts, m)
-            square &= by_start[starts] < m  # already true where gathered
-            yield m, square, half
+        return _square_loop(self.prefix, self.by_start[None], lengths)
 
     def abelian_square_count(self, length: int) -> int:
         """Number of distinct abelian-square factors of the given length."""
@@ -265,26 +270,25 @@ class InequivalentProfile:
         return sum(self.per_length.values())
 
 
-def _profile_lengths(word: Word, max_length: int) -> range:
+def _profile_squares(word: Word, max_length: int, index: FactorIndex | None):
     if max_length % 2 != 0 or max_length < 0:
         raise ValueError(f"max_length must be even and >= 0, got {max_length}")
     if max_length > len(word):
         raise ValueError(f"max_length {max_length} exceeds word length {len(word)}")
-    return range(2, max_length + 1, 2)
+    index = index if index is not None else FactorIndex(word, max_length)
+    return index._squares(range(2, max_length + 1, 2))
 
 
 def asf_profile(word: Word, max_length: int, index: FactorIndex | None = None) -> ASFProfile:
     """The distinct abelian-square factors of each even length 2..max_length."""
-    lengths = _profile_lengths(word, max_length)
-    squares = (index if index is not None else FactorIndex(word, max_length))._squares(lengths)
+    squares = _profile_squares(word, max_length, index)
     return ASFProfile(max_length, {m: int(np.count_nonzero(sq)) for m, sq, _ in squares})
 
 
 def inequivalent_profile(
     word: Word, max_length: int, index: FactorIndex | None = None
 ) -> InequivalentProfile:
-    lengths = _profile_lengths(word, max_length)
-    squares = (index if index is not None else FactorIndex(word, max_length))._squares(lengths)
+    squares = _profile_squares(word, max_length, index)
     classes = {m: int(_classes_per_row(square, half)[0]) for m, square, half in squares}
     return InequivalentProfile(max_length, {m: c for m, c in classes.items() if c})
 

@@ -344,7 +344,7 @@ def compare_alphabets(length: int, sigmas=(2, 3), **kwargs) -> AlphabetCompariso
     """Evidence row: does a binary word do at least as well as larger
     alphabets at this length?  Reported, never asserted."""
     sigmas = tuple(sorted(set(sigmas)))
-    if sigmas[0] != 2:
+    if sigmas[:1] != (2,):
         raise ValueError("comparison is anchored at sigma=2")
     results = tuple(max_asf(s, length, **kwargs) for s in sigmas)
     binary_max = results[0].maximum

@@ -121,16 +121,6 @@ class TestRecurrenceIndex:
 
 
 class TestRandomBaseline:
-    def test_exhaustive_tiny(self):
-        # all 4 words of length 2: aa, ab, ba, bb -> totals 1, 0, 0, 1
-        report = random_baseline([2], trials=None)
-        assert report.means[0] == Fraction(1, 2)
-
-    def test_exhaustive_matches_sampling_direction(self):
-        exact = random_baseline([10], trials=None).means[0]
-        sampled = random_baseline([10], trials=400, seed=3).means[0]
-        assert abs(float(exact) - sampled) < 1.0
-
     def test_seed_reproducibility(self):
         a = random_baseline([64, 128], trials=10, seed=42)
         b = random_baseline([64, 128], trials=10, seed=42)

@@ -5,20 +5,20 @@ doubling, reads first occurrences off the LCP descent and tests every even
 length at once; the oracles enumerate substrings one by one.
 """
 
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from counting_reference import asf_profile_brute, inequivalent_profile_brute
 from lcp_reference import kasai
+from paper_facts import fibonacci_word
+from absquares import counting
 from absquares.analysis import random_baseline
 from absquares.counting import (
     CHUNK_LETTERS,
     asf_profile,
     batch_counts,
     build_suffix_array,
+    inequivalent_profile,
     lcp_array,
 )
 from absquares.substitutions import thue_morse_prefix
@@ -154,9 +154,63 @@ def test_random_baseline_groups_match_one_stack():
         words = np.stack([rng.integers(0, 2, size=n, dtype=np.uint8) for _ in range(trials)])
         totals = batch_counts(words, 2).sum(axis=1)
         assert (mean, std) == (float(totals.mean()), float(totals.std()))
-    exhaustive = random_baseline([10, 14], trials=None)
-    for n, mean, std in zip((10, 14), exhaustive.means, exhaustive.stddevs):
-        words = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-        totals = batch_counts(words, 2).sum(axis=1)
-        assert mean == Fraction(int(totals.sum()), 1 << n)
-        assert std == math.sqrt(sum((int(t) - mean) ** 2 for t in totals) / (1 << n))
+
+
+@pytest.fixture
+def gathered(monkeypatch):
+    """Records, per `_abelian_squares` call of the shared length loop,
+    whether its starts were gathered from a list rather than sliced."""
+    calls = []
+    test = counting._abelian_squares
+
+    def spy(prefix, starts, m):
+        calls.append(not isinstance(starts, slice))
+        return test(prefix, starts, m)
+
+    monkeypatch.setattr(counting, "_abelian_squares", spy)
+    return calls
+
+
+def profile_rows(words: np.ndarray, sigma: int):
+    """(distinct, classes) per row and even length from the one-word profiles."""
+    m = words.shape[1] - words.shape[1] % 2
+    words = [Word(Alphabet.default(sigma), row.tobytes()) for row in words]
+    distinct = [list(asf_profile(word, m).counts.values()) for word in words]
+    per_length = [inequivalent_profile(word, m).per_length for word in words]
+    classes = [[p.get(k, 0) for k in range(2, m + 1, 2)] for p in per_length]
+    return np.array(distinct, np.int64), np.array(classes, np.int64)
+
+
+@pytest.mark.parametrize("length", (3, 9, 10, 33, 34, 101))
+def test_one_row_equals_the_profiles(gathered, length):
+    # a full-length row's LCP reaches max(lengths) = length - 1 only when the
+    # row is unary and its length odd: those rows gather, all others slice
+    rows = {
+        "unary": np.zeros(length, np.uint8),
+        "fibonacci": fibonacci_word(length).to_array(),
+        "thue-morse": thue_morse_prefix(length).to_array(),
+    }
+    for name, row in rows.items():
+        distinct, classes = profile_rows(row[None], 2)
+        gathered.clear()  # the profiles' own calls are not under test
+        assert np.array_equal(batch_counts(row[None], 2), distinct), name
+        assert gathered == [name == "unary" and length % 2 == 1] * (length // 2)
+        assert np.array_equal(batch_counts(row[None], 2, inequivalent=True), classes), name
+
+
+@pytest.mark.parametrize("sigma, length", [(2, 33), (2, 64), (3, 41), (4, 20)])
+def test_rows_equal_the_profiles(gathered, sigma, length):
+    rng = np.random.default_rng(sigma * 100 + length)
+    words = np.concatenate(
+        [
+            np.zeros((1, length), np.uint8),  # would gather alone
+            fibonacci_word(length).to_array()[None],
+            thue_morse_prefix(length).to_array()[None],
+            rng.integers(0, sigma, size=(5, length), dtype=np.uint8),
+        ]
+    )
+    distinct, classes = profile_rows(words, sigma)
+    gathered.clear()
+    assert np.array_equal(batch_counts(words, sigma), distinct)
+    assert np.array_equal(batch_counts(words, sigma, inequivalent=True), classes)
+    assert gathered and not any(gathered)  # several rows are always sliced

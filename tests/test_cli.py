@@ -212,7 +212,8 @@ class TestSearchCommands:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "flag, value", [("--budget", "2=abc"), ("--budget", "2"), ("--witness-cap", "-3")]
+        "flag, value",
+        [("--budget", "2=abc"), ("--budget", "2"), ("--witness-cap", "-3"), ("--workers", "-1")],
     )
     def test_search_malformed_flag_is_a_usage_error(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_info:
@@ -264,6 +265,12 @@ class TestSearchCommands:
         header, *rows = out.splitlines()
         assert header == "sigma,length,maximum,witnesses,binary_dominates"
         assert len(rows) == 2
+
+    def test_compare_without_sigmas(self, capsys):
+        assert main(["search", "compare", "--len", "6", "--sigmas", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: comparison is anchored at sigma=2\n"
 
 
 class TestUsageErrors:
