@@ -5,8 +5,8 @@ orbits ({n*angle}) on the torus) with the counting side: how evenly the
 orbit fills [0,1) controls how many abelian-square factors a rotation
 coding accumulates.  Everything is computed on exact points
 (:class:`~absquares.quadratic.QuadraticIrrational` or `Fraction`, or for
-rotation orbits the integer kernel of :mod:`~absquares.quadratic`); floats
-only filter in front of exact decisions, or format a report.
+rotation orbits integer floors and floor sums); floats only filter in front
+of exact decisions, or format a report.
 
 :func:`discrepancy` is the classical closed form on sorted points,
 O(N log N), with a witness interval read off its two maximizers.  The
@@ -19,17 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
-import numpy as np
-
-from .quadratic import (
-    QuadraticIrrational,
-    cf_expand,
-    exact_argmax,
-    exact_argsort,
-    floor_values,
-    frac_points,
-)
+from .quadratic import QuadraticIrrational, cf_expand, exact_argmax, floors
 from .sturmian import sturmian_asf_range
 
 
@@ -63,8 +55,9 @@ def rotation_orbit(angle: QuadraticIrrational, count: int) -> PointSequence:
     """The orbit ({n*angle}) for n = 1..count."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    p, q = frac_points(angle, np.arange(1, count + 1))
-    pts = (QuadraticIrrational(int(a), int(b), angle.r, angle.d) for a, b in zip(p, q))
+    p, q, r, d = angle.as_tuple()
+    ks = range(1, count + 1)
+    pts = (QuadraticIrrational(k * p - f * r, k * q, r, d) for k, f in zip(ks, floors(angle, 0, ks)))
     return PointSequence(tuple(pts), origin=f"orbit({count})")
 
 
@@ -158,9 +151,9 @@ def rotation_discrepancy(
 ) -> DiscrepancyReport:
     """Discrepancy of ({n*angle}), n = 1..N, with the log bound attached.
 
-    The orbit stays integer numerators over angle.r: one exact sort, then
-    the two maximizers of the closed form by a float filter and an exact
-    decision among its near-ties; QIs are built only for reported values.
+    The orbit stays integer numerators over angle.r, sorted by its ranks
+    (`orbit_order`); the two maximizers of the closed form come from
+    `exact_argmax`, and QIs are built only for reported values.
     """
     if quotient_bound is None:
         try:
@@ -169,17 +162,38 @@ def rotation_discrepancy(
             raise ValueError(f"{exc}; give the partial-quotient bound with --K") from None
     if n_points < 1:
         raise ValueError("count must be >= 1")
-    p, q = frac_points(angle, np.arange(1, n_points + 1))
-    order = exact_argsort(p, q, angle.d)
-    n, r, d = n_points, angle.r, angle.d
-    # (i+1)/N - y_i and y_i - i/N over the common denominator N*r, in Python
-    # ints because N*P can leave int64
-    p, q, i = (x.astype(object) for x in (p[order], q[order], np.arange(n)))
-    top = exact_argmax((i + 1) * r - n * p, -n * q, d)
-    bottom = exact_argmax(n * p - i * r, n * q, d)
-    y_top, y_bottom = (QuadraticIrrational(int(p[k]), int(q[k]), r, d) for k in (top, bottom))
+    n, (p, q, r, d) = n_points, angle.as_tuple()
+    fl = floors(angle, 0, range(1, n + 1))
+    order = orbit_order(fl)
+    # y_i = {k*angle} = (P + Q*sqrt(d))/r with k = order[i]; (i+1)/N - y_i and
+    # y_i - i/N over the common denominator N*r
+    yp = [k * p - fl[k - 1] * r for k in order]
+    yq = [k * q for k in order]
+    top = exact_argmax([(i + 1) * r - n * x for i, x in enumerate(yp)], [-n * x for x in yq], d)
+    bottom = exact_argmax([n * x - i * r for i, x in enumerate(yp)], [n * x for x in yq], d)
+    y_top, y_bottom = (QuadraticIrrational(yp[i], yq[i], r, d) for i in (top, bottom))
     rep = _closed_form(n, top, bottom, y_top, y_bottom, witness_limit)
     return replace(rep, bound=kn2_bound(n, quotient_bound), quotient_bound=quotient_bound)
+
+
+def orbit_order(fl: list[int]) -> list[int]:
+    """The k = 1..N that sort the points {k*angle}, given fl[k-1] =
+    floor(k*angle); equal points keep increasing k.
+
+    Summing 1[{j*angle} < {k*angle}] = floor(j*angle) - floor((j-k)*angle) -
+    floor(k*angle) over j = 1..N, with G the prefix sums of fl and
+    floor(-i*angle) taken as -floor(i*angle) - 1, gives the rank
+    G(N) - G(N-k) + G(k-1) + k - 1 - N*floor(k*angle).  Where i*angle is an
+    integer (a rational angle) that term is one too low, which counts the
+    equal points of smaller index: the ranks are a permutation, and the
+    order is its inverse.
+    """
+    n = len(fl)
+    g = list(accumulate(fl, initial=0))
+    order = [0] * n
+    for k, f in enumerate(fl, 1):
+        order[g[n] - g[n - k] + g[k - 1] + k - 1 - n * f] = k
+    return order
 
 
 # -- growth certificate ------------------------------------------------
@@ -213,9 +227,9 @@ def _half_angle_flags(angle: QuadraticIrrational, max_i: int):
     band is t = 1 and the quarter t = 0 ({i*angle/2} = 1/4 needs a rational
     angle, which the ASF sweep rejects).
     """
-    ks = np.arange(1, max_i + 1)
-    t = floor_values(angle * 2, 0, ks) - 4 * floor_values(angle / 2, 0, ks)
-    return t == 1, t == 0
+    ks = range(1, max_i + 1)
+    t = [x - 4 * y for x, y in zip(floors(angle * 2, 0, ks), floors(angle / 2, 0, ks))]
+    return [v == 1 for v in t], [v == 0 for v in t]
 
 
 def growth_certificate(angle: QuadraticIrrational, n: int) -> CertificateReport:
@@ -237,17 +251,18 @@ def certificate_sweep(
         raise ValueError("max_n must be >= 2")
     max_n -= max_n % 2
     in_band, in_quarter = _half_angle_flags(angle, max_n)
-    in_quarter[::2] = False  # keep even m only (flag m sits at index m - 1)
-    band_prefix = np.concatenate(([0], np.cumsum(in_band)))
-    quarter_prefix = np.concatenate(([0], np.cumsum(in_quarter)))
+    band_prefix = list(accumulate(in_band, initial=0))
+    even_quarter = (x and m % 2 == 0 for m, x in enumerate(in_quarter, 1))
+    quarter_prefix = list(accumulate(even_quarter, initial=0))
     asf = sturmian_asf_range(angle, max_n)
-    ns = np.arange(2, max_n + 1, 2)
-    count_a = band_prefix[ns // 2]
-    count_b = quarter_prefix[ns] - quarter_prefix[ns // 2 - 1]  # n/2 <= m <= n
-    running = np.cumsum([asf[n] for n in ns.tolist()])
     reports = []
-    for row in zip(ns.tolist(), count_a.tolist(), count_b.tolist(), running.tolist()):
-        report = CertificateReport(*row)
+    running = 0
+    for n in range(2, max_n + 1, 2):
+        running += asf[n]
+        # count_b: even m with n/2 <= m <= n
+        report = CertificateReport(
+            n, band_prefix[n // 2], quarter_prefix[n] - quarter_prefix[n // 2 - 1], running
+        )
         if report.product > report.asf_sum:
             raise AssertionError(
                 f"certificate violated at n={report.n}: "

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import gcd, isqrt, log, sqrt
 
-import numpy as np
-
 
 @lru_cache(maxsize=1024)
 def _split_square(d: int) -> tuple[int, int]:
@@ -214,12 +212,8 @@ class QuadraticIrrational:
     # -- floor / frac ----------------------------------------------------
 
     def floor(self) -> int:
-        """The closed form of `floor_values`: with s = isqrt(q*q*d), q*sqrt(d)
-        lies strictly between s and s + 1 (d squarefree, q != 0)."""
-        if self.q == 0:
-            return self.p // self.r
-        s = isqrt(self.q * self.q * self.d)
-        return (self.p + s) // self.r if self.q > 0 else (self.p - s - 1) // self.r
+        """`floor_rule` on the value's own integers."""
+        return floor_rule(self.p, self.q, self.d, self.r)
 
     def frac(self) -> "QuadraticIrrational":
         return self - self.floor()
@@ -246,113 +240,49 @@ def as_qi(value) -> QuadraticIrrational:
     return QuadraticIrrational.from_rational(value)
 
 
-# -- vectorized kernel ---------------------------------------------------------
-#
-# Many values of one field are held as integer arrays P, Q standing for
-# (P + Q*sqrt(d))/r with one r > 0.  The arrays are int64 while every value and
-# intermediate is provably below 2**62 in magnitude, and object arrays of
-# Python ints otherwise, so nothing wraps.  A float only proposes a square
-# root, an order or a maximum; an integer test confirms every decision.
-
-_INT64_SAFE = 2**62
+# -- floors and maxima over many values -------------------------------------
 
 
-def _max_abs(x) -> int:
-    return int(np.abs(x).max()) if len(x) else 0
+def floor_rule(a: int, b: int, d: int, r: int) -> int:
+    """floor((a + b*sqrt(d))/r) for r > 0 and squarefree d: with s =
+    isqrt(b*b*d), b*sqrt(d) lies strictly between s and s + 1 unless b = 0."""
+    s = isqrt(b * b * d)
+    return (a + s) // r if b >= 0 else (a - s - 1) // r
 
 
-def _widen(bound: int, *arrays):
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    return [np.asarray(a).astype(dtype) for a in arrays]
-
-
-def floor_values(alpha, rho, ks) -> np.ndarray:
-    """Exact floor(k*alpha + rho) for every integer k of `ks`, as int64.
-
-    With alpha and rho in one field, k*alpha + rho = (A + B*sqrt(d))/R, and
-    s = isqrt(B*B*d) gives the floor (A + s) // R when B >= 0 and
-    (A - s - 1) // R when B < 0 (d is squarefree, so B*B*d is a square only
-    at B = 0).  s is a float square root corrected to s*s <= v < (s+1)**2.
-    """
+def floors(alpha, rho, ks) -> list[int]:
+    """floor(k*alpha + rho) for every integer k of `ks`, by `floor_rule` on
+    k*alpha + rho = (A + B*sqrt(d))/R with one common denominator R."""
     rho = as_qi(rho)
     alpha = rho._coerced(as_qi(alpha))  # raises unless one field
     d = alpha.d or rho.d
     big_r = alpha.r * rho.r // gcd(alpha.r, rho.r)
     a, b = alpha.p * (big_r // alpha.r), alpha.q * (big_r // alpha.r)
     a0, b0 = rho.p * (big_r // rho.r), rho.q * (big_r // rho.r)
-    ks = np.asarray(ks, dtype=np.int64)
-    k = _max_abs(ks)
-    b_bound = abs(b) * k + abs(b0)
-    (ks,) = _widen(max(b_bound * b_bound * d, abs(a) * k + abs(a0), big_r), ks)
-    big_a, big_b = a * ks + a0, b * ks + b0
-    v = big_b * big_b * d
-    if ks.dtype == object:
-        s = np.frompyfunc(isqrt, 1, 1)(v)
-    else:
-        s = np.sqrt(v.astype(np.float64)).astype(np.int64)  # isqrt(v) +- 1
-        s -= s * s > v
-        s += (s + 1) * (s + 1) <= v
-    return np.where(big_b >= 0, (big_a + s) // big_r, (big_a - s - 1) // big_r).astype(np.int64)
+    return [floor_rule(a * k + a0, b * k + b0, d, big_r) for k in ks]
 
 
-def frac_points(alpha, ks) -> tuple[np.ndarray, np.ndarray]:
-    """{k*alpha} for every k of `ks` as numerators (P, Q) over alpha.r:
-    {k*alpha} = (k*p - floor(k*alpha)*r + k*q*sqrt(d)) / r."""
-    alpha = as_qi(alpha)
-    ks = np.asarray(ks, dtype=np.int64)
-    floors = floor_values(alpha, 0, ks)
-    bound = _max_abs(ks) * (abs(alpha.p) + abs(alpha.q)) + _max_abs(floors) * alpha.r
-    ks, floors = _widen(bound, ks, floors)
-    return ks * alpha.p - floors * alpha.r, ks * alpha.q
-
-
-def _with_norm(p, q, d: int):
-    """p and q, widened so that the norm p*p - q*q*d cannot wrap, and the norm."""
-    p, q = _widen(max(_max_abs(p) ** 2, _max_abs(q) ** 2 * d), p, q)
-    return p, q, p * p - q * q * d
-
-
-def _signs(p, q, d: int) -> np.ndarray:
-    """Exact sign of p + q*sqrt(d), elementwise."""
-    sp, sq, sn = ((x > 0).astype(np.int64) - (x < 0) for x in _with_norm(p, q, d))
-    return np.where(sp * sq >= 0, np.where(sp != 0, sp, sq), sp * sn)
-
-
-def _exact_key(p, q, d: int):
-    def compare(i, j):  # the exact sign of entry i minus entry j
-        return _numerator_sign(int(p[i]) - int(p[j]), int(q[i]) - int(q[j]), d)
-
-    return cmp_to_key(compare)
-
-
-def _approx(p, q, d: int) -> np.ndarray:
+def _approx(p: int, q: int, d: int) -> float:
     """p + q*sqrt(d) within 6 units of 2**-53 relative: where the two terms
     cancel, as (p*p - q*q*d) / (p - q*sqrt(d)) with an exact numerator."""
-    p, q, norm = _with_norm(p, q, d)
-    fp, fq = p.astype(np.float64), q.astype(np.float64) * sqrt(d)
-    cancel = (fp > 0) != (fq > 0)
-    return np.where(cancel, norm.astype(np.float64) / np.where(cancel, fp - fq, 1.0), fp + fq)
+    fp, fq = float(p), q * sqrt(d)
+    if (fp > 0) != (fq > 0):
+        return (p * p - q * q * d) / (fp - fq)
+    return fp + fq
 
 
-def exact_argsort(p, q, d: int) -> np.ndarray:
-    """Indices that sort the values (p + q*sqrt(d))/r ascending (one r > 0).
-
-    A float key proposes the order and an exact sign test checks every
-    adjacent pair; if any pair fails, an exact comparison sort decides.
-    """
-    order = np.argsort(_approx(p, q, d), kind="stable")
-    if (_signs(np.diff(p[order]), np.diff(q[order]), d) >= 0).all():
-        return order
-    return np.array(sorted(range(len(p)), key=_exact_key(p, q, d)), dtype=np.int64)
-
-
-def exact_argmax(p, q, d: int) -> int:
-    """First index of the largest value (p + q*sqrt(d))/r (one r > 0): the
-    float maximum names the near-ties, and exact comparisons pick among them."""
-    approx = _approx(p, q, d)
-    slack = 2.0**-46 * np.abs(approx).max()  # over twice the error of a difference
-    near = np.flatnonzero(approx >= approx.max() - slack)
-    return int(max(near, key=_exact_key(p, q, d)))
+def exact_argmax(ps, qs, d: int) -> int:
+    """First index of the largest value (ps[i] + qs[i]*sqrt(d))/r (one r > 0):
+    the float maximum names the near-ties, and exact sign tests pick among
+    them.  Below the bounds no float overflows or turns subnormal; above
+    them every value is compared exactly."""
+    near = range(len(ps))
+    if max(map(abs, ps)) < 2**500 and max(map(abs, qs)) ** 2 * d < 2**1000:
+        approx = [_approx(p, q, d) for p, q in zip(ps, qs)]
+        # the slack is over twice the error of a difference
+        cut = max(approx) - 2.0**-46 * max(map(abs, approx))
+        near = [i for i in near if approx[i] >= cut]
+    return max(near, key=cmp_to_key(lambda i, j: _numerator_sign(ps[i] - ps[j], qs[i] - qs[j], d)))
 
 
 # -- continued fractions ----------------------------------------------------

@@ -7,7 +7,7 @@ each n, the letter coded by the interval containing {rho + n*alpha}:
 * right convention: letter b on (0, 1-alpha],   a on (1-alpha, 1]
   (the orbit point 0 is identified with 1)
 
-All point arithmetic is exact (the integer kernel of `quadratic`), so
+A letter is a difference of two exact floors (`quadratic.floors`), so
 interval membership at the discontinuities is decided correctly.  The number
 of distinct abelian-square factors of each even length n has a purely arithmetic
 expression over the orbit points {-i*alpha}, i <= n (`sturmian_asf_range`),
@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .quadratic import QuadraticIrrational, as_qi, exact_argsort, floor_values, frac_points
+from .quadratic import QuadraticIrrational, as_qi, floors
 from .words import BINARY_AB, Word
 
 CONVENTIONS = ("left", "right")
@@ -56,12 +54,12 @@ def sturmian_prefix(spec: SturmianSpec, length: int) -> Word:
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    ks = np.arange(length + 1)
+    ks = range(length + 1)
     if spec.convention == "right":
-        steps = -floor_values(-spec.angle, -spec.rho, ks)
+        steps = [-f for f in floors(-spec.angle, -spec.rho, ks)]
     else:
-        steps = floor_values(spec.angle, spec.rho, ks)
-    return Word(BINARY_AB, (1 - np.diff(steps)).astype(np.uint8).tobytes())
+        steps = floors(spec.angle, spec.rho, ks)
+    return Word(BINARY_AB, bytes(1 + a - b for a, b in zip(steps, steps[1:])))
 
 
 def _irrational_angle(alpha) -> QuadraticIrrational:
@@ -71,32 +69,7 @@ def _irrational_angle(alpha) -> QuadraticIrrational:
     return alpha
 
 
-def _negative_orbit(alpha: QuadraticIrrational, n: int):
-    """Points {-i*alpha}, i = 1..n, as numerators (P, Q) over alpha.r, in
-    orbit order, with the indices that sort them."""
-    p, q = frac_points(alpha, -np.arange(1, n + 1))
-    return p, q, exact_argsort(p, q, alpha.d)
-
-
 # -- arithmetic abelian-square counts ----------------------------------------
-
-
-def _smaller_before(ranks: np.ndarray) -> np.ndarray:
-    """For each i, the number of j < i with ranks[j] < ranks[i]: a bottom-up
-    merge count, where each level counts a right block's entries against the
-    sorted left block of its pair with one searchsorted."""
-    n = len(ranks)
-    out = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    width = 1
-    while width < n:
-        start = idx // (2 * width) * n  # the keys of one pair lie in [start, start + n)
-        right = (idx // width) % 2 == 1
-        keys = start + ranks
-        left = np.sort(keys[~right], kind="stable")  # one sort kernel for the whole pass
-        out[right] += np.searchsorted(left, keys[right]) - np.searchsorted(left, start[right])
-        width *= 2
-    return out
 
 
 def sturmian_asf_range(alpha, max_n: int) -> dict[int, int]:
@@ -106,18 +79,20 @@ def sturmian_asf_range(alpha, max_n: int) -> dict[int, int]:
     <= {-n*alpha} when floor(n*alpha) is even, and those >= {-n*alpha}
     otherwise.
 
-    All n share one sorted orbit: with the global ranks of {-i*alpha}, the
-    count at n is read off the number of earlier points below {-n*alpha},
-    found offline for all n.
+    The count of earlier points below {-n*alpha} needs no sort.  With
+    beta = 1 - alpha, {-j*alpha} = {j*beta}, and 1[{x} < {c}] =
+    floor(x) - floor(x - c) - floor(c) summed over x = j*beta, j < n, with
+    floor(-i*beta) = -floor(i*beta) - 1, gives 2*S + (n-1)*(1 - floor(n*beta)),
+    where S sums floor(j*beta) = j - floor(j*alpha) - 1 over j < n.
     """
     alpha = _irrational_angle(alpha)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    if max_n < 2:
-        return {}
-    _, _, order = _negative_orbit(alpha, max_n)
-    below = _smaller_before(np.argsort(order, kind="stable"))  # the inverse permutation
-    ns = np.arange(2, max_n + 1, 2)
-    even = floor_values(alpha, 0, ns) % 2 == 0
-    counts = np.where(even, below[ns - 1] + 1, ns - below[ns - 1])
-    return dict(zip(ns.tolist(), counts.tolist()))
+    counts = {}
+    s = 0
+    for n, f in enumerate(floors(alpha, 0, range(1, max_n + 1)), 1):
+        if n % 2 == 0:
+            below = 2 * s + (n - 1) * (f + 2 - n)  # 1 - floor(n*beta) = f + 2 - n
+            counts[n] = below + 1 if f % 2 == 0 else n - below
+        s += n - f - 1
+    return counts

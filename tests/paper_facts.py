@@ -4,7 +4,7 @@ The Fibonacci word, the arithmetic count of one length, the interval
 partition of the golden-angle worked example, the Thue-Morse complexity
 recurrences, boundary splits and square lifts, balance and Parikh vectors.
 No CLI command runs these; the tests compare them with the counting engine
-and the Sturmian kernel of `absquares`, whose functions they may call.
+and the Sturmian functions of `absquares`, which they may call.
 """
 
 from dataclasses import dataclass
@@ -14,13 +14,7 @@ import numpy as np
 
 from absquares.counting import FactorIndex
 from absquares.quadratic import GOLDEN_ANGLE, QuadraticIrrational, as_qi
-from absquares.sturmian import (
-    SturmianSpec,
-    _irrational_angle,
-    _negative_orbit,
-    sturmian_asf_range,
-    sturmian_prefix,
-)
+from absquares.sturmian import SturmianSpec, _irrational_angle, sturmian_asf_range, sturmian_prefix
 from absquares.substitutions import THUE_MORSE, thue_morse_prefix
 from absquares.words import BINARY_01, Word
 
@@ -70,10 +64,9 @@ def interval_partition(alpha, n: int) -> IntervalPartition:
     alpha = _irrational_angle(alpha)
     if n < 1:
         raise ValueError("n must be >= 1")
-    p, q, order = _negative_orbit(alpha, n)
-    orbit = [QuadraticIrrational(int(p[i]), int(q[i]), alpha.r, alpha.d) for i in order]
-    threshold = orbit[int(np.flatnonzero(order == n - 1)[0])]  # {-n*alpha}
-    points = [as_qi(0)] + orbit + [as_qi(1)]
+    orbit = [(alpha * -i).frac() for i in range(1, n + 1)]
+    threshold = orbit[-1]  # {-n*alpha}
+    points = [as_qi(0)] + sorted(orbit) + [as_qi(1)]
     entries = []
     for lo, hi in zip(points, points[1:]):
         mid = (lo + hi) / 2

@@ -1,7 +1,7 @@
 """Reference versions of the rotation-orbit and continued-fraction loops, one
 QuadraticIrrational per point or complete quotient.  The package computes the
-same quantities with the integer kernel of `absquares.quadratic`; these slow,
-obviously-exact loops are what the kernel tests compare it against.  The
+same quantities from integer floors and floor sums; these slow,
+obviously-exact loops are what `test_kernel.py` compares it against.  The
 brute-force discrepancy is the oracle of the closed form in
 `absquares.discrepancy`."""
 

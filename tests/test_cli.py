@@ -336,7 +336,27 @@ def test_help_loads_no_numpy_and_no_package_module():
         (
             ["discrepancy", "--angle", "cf:[0;|1]", "--N", "100"],
             "absquares.discrepancy",
-            {"absquares.counting", "absquares.analysis", "absquares.search"},
+            {"numpy", "absquares.counting", "absquares.analysis", "absquares.search"},
+        ),
+        (
+            ["sturmian-asf", "--angle", "cf:[0;|1]", "--max-n", "100"],
+            "absquares.sturmian",
+            {"numpy", "absquares.counting", "absquares.discrepancy"},
+        ),
+        (
+            ["certificate", "--angle", "cf:[0;|1]", "--n", "100", "--sweep"],
+            "absquares.discrepancy",
+            {"numpy", "absquares.counting", "absquares.analysis"},
+        ),
+        (
+            ["generate", "sturmian", "--angle", "cf:[0;|1]", "--len", "100"],
+            "absquares.sturmian",
+            {"numpy", "absquares.counting", "absquares.discrepancy"},
+        ),
+        (
+            ["crosscheck", "--angle", "cf:[0;|1]", "--max-n", "10", "--prefix-len", "100"],
+            "absquares.counting",
+            {"absquares.discrepancy", "absquares.analysis", "absquares.search"},
         ),
         (
             ["generate", "thue-morse", "--len", "16"],
@@ -349,7 +369,10 @@ def test_help_loads_no_numpy_and_no_package_module():
             {"numpy", "absquares.counting", "absquares.quadratic"},
         ),
     ],
-    ids=["count", "discrepancy", "generate-thue-morse", "generate-substitution-file"],
+    ids=[
+        "count", "discrepancy", "sturmian-asf", "certificate-sweep", "generate-sturmian",
+        "crosscheck", "generate-thue-morse", "generate-substitution-file",
+    ],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, loaded, absent):
     files = {"WORD": tmp_path / "w.txt", "SUB": tmp_path / "fib.sub"}

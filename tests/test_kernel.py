@@ -1,15 +1,13 @@
-"""The integer rotation-orbit kernel against the one-QI-per-point loops."""
+"""The integer floors, floor sums and ranks of the rotation side against
+the one-QI-per-point loops."""
 
-import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import qi_reference as ref
-from absquares import quadratic
-from absquares.discrepancy import _half_angle_flags, rotation_discrepancy, rotation_orbit
+from absquares.discrepancy import _half_angle_flags, orbit_order, rotation_discrepancy, rotation_orbit
 from absquares.quadratic import (
     GOLDEN_ANGLE,
     QI,
@@ -17,15 +15,13 @@ from absquares.quadratic import (
     ContinuedFraction,
     cf_value,
     exact_argmax,
-    exact_argsort,
-    floor_values,
-    frac_points,
+    floors,
 )
 from absquares.sturmian import SturmianSpec, sturmian_asf_range, sturmian_prefix
 from paper_facts import sturmian_asf
 
 LARGE_D = QI(-31622, 1, 1, 1000000007)
-# B*B*d leaves int64 at k = 1 already, so every step takes the Python-int path
+# coefficients near 10^12, so B*B*d is far above 2**64 from k = 1 on
 HUGE = QI(0, 10**12 + 39, 1, 2).frac()
 
 
@@ -60,14 +56,18 @@ def random_point(alpha, rng):
 class TestAgainstQuadraticLoops:
     def test_floors(self, alpha):
         rho = random_point(alpha, random.Random(1))
-        ks = np.arange(-150, 151)
-        assert floor_values(alpha, rho, ks).tolist() == [(alpha * k + rho).floor() for k in range(-150, 151)]
+        ks = range(-150, 151)
+        assert floors(alpha, rho, ks) == [(alpha * k + rho).floor() for k in ks]
 
     @pytest.mark.parametrize("convention", ["left", "right"])
     def test_prefix(self, alpha, convention):
         for seed in range(3):
             spec = SturmianSpec(alpha, random_point(alpha, random.Random(seed)), convention)
             assert sturmian_prefix(spec, 300) == ref.sturmian_prefix(spec, 300)
+
+    @pytest.mark.parametrize("max_n", [0, 1, 2, 3, 30, 240])
+    def test_floor_sum_counts(self, alpha, max_n):
+        assert sturmian_asf_range(alpha, max_n) == ref.sturmian_asf_range(alpha, max_n)
 
     def test_asf_counts(self, alpha):
         table = sturmian_asf_range(alpha, 240)
@@ -83,7 +83,7 @@ class TestAgainstQuadraticLoops:
 
     def test_half_angle_flags(self, alpha):
         in_band, in_quarter = _half_angle_flags(alpha, 300)
-        assert (in_band.tolist(), in_quarter.tolist()) == ref.half_angle_flags(alpha, 300)
+        assert (in_band, in_quarter) == ref.half_angle_flags(alpha, 300)
 
 
 @pytest.mark.parametrize("alpha", [GOLDEN_ANGLE, SILVER_ANGLE, QI.sqrt(3) - 1], ids=repr)
@@ -96,17 +96,18 @@ def test_initial_point_on_a_cut(alpha, convention):
         assert sturmian_prefix(spec, 400) == ref.sturmian_prefix(spec, 400)
 
 
-def test_python_int_path(monkeypatch):
-    roots = []
-    monkeypatch.setattr(quadratic, "isqrt", lambda v: roots.append(v) or math.isqrt(v))
-    # HUGE from k = 1, and LARGE_D just below and just above the point where
-    # B*B*d ~ k*k * 10^9 leaves int64
-    for alpha, lo, python_ints in ((HUGE, 1, True), (LARGE_D, 67750, False), (LARGE_D, 68000, True)):
-        ks = np.arange(lo, lo + 150)
-        expected = [(alpha * int(k)).floor() for k in ks]
-        roots.clear()
-        assert floor_values(alpha, 0, ks).tolist() == expected
-        assert len(roots) == (150 if python_ints else 0)
+RATIONAL = [QI(1, 0, 3, 0), QI(-7, 0, 3, 0), QI(2, 0, 7, 0), QI(5, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("alpha", RATIONAL, ids=repr)
+def test_rational_angle_ranks_keep_equal_points_in_index_order(alpha):
+    # {k*alpha} repeats, so the ranks must still form a permutation
+    n = 50
+    order = orbit_order(floors(alpha, 0, range(1, n + 1)))
+    assert order == sorted(range(1, n + 1), key=lambda k: ((alpha * k).frac(), k))
+    report = rotation_discrepancy(alpha, n, quotient_bound=1)
+    points = ref.rotation_orbit(alpha, n)
+    assert (report.value, report.surplus, report.deficit) == ref.closed_form(points)
 
 
 def pell_sqrt2(limit: int) -> list:
@@ -119,8 +120,8 @@ def pell_sqrt2(limit: int) -> list:
 
 
 def test_floor_brackets_the_value():
-    # QI.floor shares the closed form of floor_values, so it is checked here
-    # by the ordering, which decides k <= x < k + 1 by a numerator sign test
+    # QI.floor and `floors` share `floor_rule`, so it is checked here by the
+    # ordering, which decides k <= x < k + 1 by a numerator sign test
     values = [
         QI(sign * p + r * m, -sign * q, r, 2)  # m + (p - q*sqrt(2))/r, within 1/(r*q) of m
         for p, q in pell_sqrt2(10**15)
@@ -141,27 +142,24 @@ def test_floor_brackets_the_value():
         assert k <= x < k + 1, x
 
 
-def test_float_key_out_of_order_is_repaired(monkeypatch):
-    p, q = frac_points(GOLDEN_ANGLE, np.arange(1, 300))
-    exact = sorted(range(len(p)), key=lambda i: QI(int(p[i]), int(q[i]), 2, 5))
-    repairs = []
-    exact_key = quadratic._exact_key
-    monkeypatch.setattr(quadratic, "_exact_key", lambda *a: repairs.append(a) or exact_key(*a))
-    assert exact_argsort(p, q, 5).tolist() == exact
-    assert not repairs
-    key = quadratic._approx(p, q, 5)
-    key[[exact[10], exact[11]]] = key[[exact[11], exact[10]]]  # one adjacent swap
-    monkeypatch.setattr(quadratic, "_approx", lambda *a: key)
-    assert exact_argsort(p, q, 5).tolist() == exact
-    assert len(repairs) == 1
-
-
 def test_argmax_decides_ties_floats_cannot_see():
-    # p - q*sqrt(2) for Pell convergents p/q near 10^15: floats carry an
-    # error far above the differences between the values
+    # m + p - q*sqrt(2) for Pell convergents p/q near 10^15: at m = 10^6
+    # floats carry an error far above the differences between the values
     pairs = pell_sqrt2(10**15)[-8:]
-    ps = np.array([p for p, _ in pairs], dtype=object)
-    qs = -np.array([q for _, q in pairs], dtype=object)
-    values = [QI(int(a), int(b), 1, 2) for a, b in zip(ps, qs)]
-    assert exact_argmax(ps, qs, 2) == values.index(max(values))
-    assert [values[i] for i in exact_argsort(ps, qs, 2)] == sorted(values)
+    for m in (0, 10**6):
+        for shift in range(len(pairs)):  # the maximum at every position
+            turned = pairs[shift:] + pairs[:shift]
+            ps, qs = [m + p for p, _ in turned], [-q for _, q in turned]
+            values = [QI(a, b, 1, 2) for a, b in zip(ps, qs)]
+            assert exact_argmax(ps, qs, 2) == values.index(max(values))
+
+
+def test_argmax_beyond_float_range():
+    # numerators near 10^400 overflow a float, so every value is compared exactly
+    pairs = [(p * 10**385, -q * 10**385) for p, q in pell_sqrt2(10**15)[-8:]]
+    for shift in range(len(pairs)):
+        turned = pairs[shift:] + pairs[:shift]
+        ps, qs = [p for p, _ in turned], [q for _, q in turned]
+        values = [QI(a, b, 1, 2) for a, b in turned]
+        assert exact_argmax(ps, qs, 2) == values.index(max(values))
+    assert exact_argmax([3, 10**400, 7], [0, 0, 0], 0) == 1
