@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import qi_reference as ref
+from absquares import quadratic
 from absquares.discrepancy import _half_angle_flags, orbit_order, rotation_discrepancy, rotation_orbit
 from absquares.quadratic import (
     GOLDEN_ANGLE,
@@ -152,6 +153,23 @@ def test_argmax_decides_ties_floats_cannot_see():
             ps, qs = [m + p for p, _ in turned], [-q for _, q in turned]
             values = [QI(a, b, 1, 2) for a, b in zip(ps, qs)]
             assert exact_argmax(ps, qs, 2) == values.index(max(values))
+
+
+def test_argmax_slack_covers_the_float_error(monkeypatch):
+    # floats off by 6 units of 2**-53, low on the exact maximum and high on
+    # the rest: the float maximum is wrong, and the slack must still keep
+    # the exact maximum among the near-ties
+    pairs = pell_sqrt2(10**15)[-8:]
+    ps, qs = [10**6 + p for p, _ in pairs], [-q for _, q in pairs]
+    values = [QI(a, b, 1, 2) for a, b in zip(ps, qs)]
+    best = values.index(max(values))
+    approx = quadratic._approx
+
+    def skewed(p, q, d):
+        return approx(p, q, d) * (1 + (-6 if p == ps[best] else 6) * 2.0**-53)
+
+    monkeypatch.setattr(quadratic, "_approx", skewed)
+    assert exact_argmax(ps, qs, 2) == best
 
 
 def test_argmax_beyond_float_range():
