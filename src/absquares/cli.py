@@ -553,7 +553,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, AssertionError) as exc:
+    except (ValueError, OSError, AssertionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

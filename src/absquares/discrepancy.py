@@ -5,8 +5,8 @@ orbits ({n*angle}) on the torus) with the counting side: how evenly the
 orbit fills [0,1) controls how many abelian-square factors a rotation
 coding accumulates.  Everything is computed on exact points
 (:class:`~absquares.quadratic.QuadraticIrrational` or `Fraction`, or for
-rotation orbits integer floors and floor sums); floats only filter in front
-of exact decisions, or format a report.
+rotation orbits integer floors and floor sums); floats only format a
+report.
 
 :func:`discrepancy` is the classical closed form on sorted points,
 O(N log N), with a witness interval read off its two maximizers.  The
@@ -158,10 +158,11 @@ def rotation_discrepancy(
     if quotient_bound is None:
         try:
             quotient_bound = cf_expand(angle).quotient_bound
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{exc}; give the partial-quotient bound with --K") from None
     if n_points < 1:
         raise ValueError("count must be >= 1")
+    bound = kn2_bound(n_points, quotient_bound)
     n, (p, q, r, d) = n_points, angle.as_tuple()
     fl = floors(angle, 0, range(1, n + 1))
     order = orbit_order(fl)
@@ -173,7 +174,7 @@ def rotation_discrepancy(
     bottom = exact_argmax([n * x - i * r for i, x in enumerate(yp)], [n * x for x in yq], d)
     y_top, y_bottom = (QuadraticIrrational(yp[i], yq[i], r, d) for i in (top, bottom))
     rep = _closed_form(n, top, bottom, y_top, y_bottom, witness_limit)
-    return replace(rep, bound=kn2_bound(n, quotient_bound), quotient_bound=quotient_bound)
+    return replace(rep, bound=bound, quotient_bound=quotient_bound)
 
 
 def orbit_order(fl: list[int]) -> list[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt, log, sqrt
 
 
@@ -219,7 +219,12 @@ class QuadraticIrrational:
         return self - self.floor()
 
     def __float__(self) -> float:
-        return (self.p + self.q * self.d**0.5) / self.r
+        """Within one ulp: a nonzero |p + q*sqrt(d)| exceeds 1/(|p| + |q|*sqrt(d))
+        (p*p - q*q*d is a nonzero integer), so floor(value * 2**k) keeps over
+        64 significant bits, and one correctly rounded int division gives the float."""
+        p, q, r, d = self.as_tuple()
+        k = 64 + r.bit_length() + (abs(p) + abs(q) * (isqrt(d) + 1)).bit_length()
+        return floor_rule(p << k, q << k, d, r) / (1 << k)
 
     def __repr__(self):
         if self.is_rational:
@@ -262,27 +267,14 @@ def floors(alpha, rho, ks) -> list[int]:
     return [floor_rule(a * k + a0, b * k + b0, d, big_r) for k in ks]
 
 
-def _approx(p: int, q: int, d: int) -> float:
-    """p + q*sqrt(d) within 6 units of 2**-53 relative: where the two terms
-    cancel, as (p*p - q*q*d) / (p - q*sqrt(d)) with an exact numerator."""
-    fp, fq = float(p), q * sqrt(d)
-    if (fp > 0) != (fq > 0):
-        return (p * p - q * q * d) / (fp - fq)
-    return fp + fq
-
-
 def exact_argmax(ps, qs, d: int) -> int:
-    """First index of the largest value (ps[i] + qs[i]*sqrt(d))/r (one r > 0):
-    the float maximum names the near-ties, and exact sign tests pick among
-    them.  Below the bounds no float overflows or turns subnormal; above
-    them every value is compared exactly."""
-    near = range(len(ps))
-    if max(map(abs, ps)) < 2**500 and max(map(abs, qs)) ** 2 * d < 2**1000:
-        approx = [_approx(p, q, d) for p, q in zip(ps, qs)]
-        # the slack is over twice the error of a difference
-        cut = max(approx) - 2.0**-46 * max(map(abs, approx))
-        near = [i for i in near if approx[i] >= cut]
-    return max(near, key=cmp_to_key(lambda i, j: _numerator_sign(ps[i] - ps[j], qs[i] - qs[j], d)))
+    """First index of the largest value (ps[i] + qs[i]*sqrt(d))/r (one r > 0),
+    in one scan of exact sign tests."""
+    best, best_p, best_q = 0, ps[0], qs[0]
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        if _numerator_sign(p - best_p, q - best_q, d) > 0:
+            best, best_p, best_q = i, p, q
+    return best
 
 
 # -- continued fractions ----------------------------------------------------

@@ -33,12 +33,8 @@ class SturmianSpec:
     convention: str = "left"
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", as_qi(self.angle))
+        object.__setattr__(self, "angle", _irrational_angle(self.angle))
         object.__setattr__(self, "rho", as_qi(self.rho))
-        if self.angle.is_rational:
-            raise ValueError("angle must be irrational")
-        if not (0 < self.angle < 1):
-            raise ValueError("angle must lie in (0, 1)")
         if not (0 <= self.rho < 1):
             raise ValueError("initial point must lie in [0, 1)")
         if self.convention not in CONVENTIONS:

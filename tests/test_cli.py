@@ -160,6 +160,40 @@ class TestDiscrepancyCommands:
         code, out = run(capsys, "discrepancy", *angle, "--K", "63244")
         assert code == 0 and json.loads(out)["quotient_bound"] == 63244
 
+    def test_discrepancy_large_radicand_scaled_display(self, capsys):
+        # N*D_N is 7.42906949844...
+        angle = ["--angle", "qi:(-31622,1,1,1000000007)", "--N", "3000", "--K", "63244"]
+        code, out = run(capsys, "discrepancy", *angle)
+        assert code == 0 and '"scaled": 7.429069,' in out
+
+    def test_discrepancy_checks_k_before_the_orbit(self, capsys, monkeypatch):
+        import absquares.discrepancy as discrepancy
+
+        def no_orbit(*args):
+            raise AssertionError("the orbit was computed")
+
+        monkeypatch.setattr(discrepancy, "floors", no_orbit)
+        angle = ["--angle", "cf:[0;|1]", "--N", "2000000", "--K", "0"]
+        assert main(["discrepancy", *angle]) == 1
+        assert capsys.readouterr().err == "error: partial-quotient bound must be >= 1\n"
+
+    def test_discrepancy_overflowing_period_bound_points_at_k(self, capsys):
+        # the discriminant of (1 + sqrt(5))/10^400 is beyond float range
+        angle = f"qi:(1,1,{10**400},5)"
+        assert main(["discrepancy", "--angle", angle, "--N", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("; give the partial-quotient bound with --K\n")
+        code, out = run(capsys, "discrepancy", "--angle", angle, "--N", "10", "--K", "3")
+        assert code == 0 and json.loads(out)["angle"]["approx"] == 0.0
+        code, out = run(capsys, "sturmian-asf", "--angle", angle, "--max-n", "6", "--format", "csv")
+        assert code == 0 and out.splitlines() == ["n,count", "2,1", "4,1", "6,1"]
+
+    def test_angle_beyond_float_range_is_one_line(self, capsys):
+        assert main(["discrepancy", "--angle", f"qi:({10**400},1,1,2)", "--N", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_certificate_sweep_csv(self, capsys):
         code, out = run(
             capsys, "certificate", "--angle", "cf:[0;|1]", "--n", "36", "--sweep",

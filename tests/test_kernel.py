@@ -1,13 +1,14 @@
 """The integer floors, floor sums and ranks of the rotation side against
 the one-QI-per-point loops."""
 
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 import qi_reference as ref
-from absquares import quadratic
 from absquares.discrepancy import _half_angle_flags, orbit_order, rotation_discrepancy, rotation_orbit
 from absquares.quadratic import (
     GOLDEN_ANGLE,
@@ -155,23 +156,6 @@ def test_argmax_decides_ties_floats_cannot_see():
             assert exact_argmax(ps, qs, 2) == values.index(max(values))
 
 
-def test_argmax_slack_covers_the_float_error(monkeypatch):
-    # floats off by 6 units of 2**-53, low on the exact maximum and high on
-    # the rest: the float maximum is wrong, and the slack must still keep
-    # the exact maximum among the near-ties
-    pairs = pell_sqrt2(10**15)[-8:]
-    ps, qs = [10**6 + p for p, _ in pairs], [-q for _, q in pairs]
-    values = [QI(a, b, 1, 2) for a, b in zip(ps, qs)]
-    best = values.index(max(values))
-    approx = quadratic._approx
-
-    def skewed(p, q, d):
-        return approx(p, q, d) * (1 + (-6 if p == ps[best] else 6) * 2.0**-53)
-
-    monkeypatch.setattr(quadratic, "_approx", skewed)
-    assert exact_argmax(ps, qs, 2) == best
-
-
 def test_argmax_beyond_float_range():
     # numerators near 10^400 overflow a float, so every value is compared exactly
     pairs = [(p * 10**385, -q * 10**385) for p, q in pell_sqrt2(10**15)[-8:]]
@@ -181,3 +165,34 @@ def test_argmax_beyond_float_range():
         values = [QI(a, b, 1, 2) for a, b in turned]
         assert exact_argmax(ps, qs, 2) == values.index(max(values))
     assert exact_argmax([3, 10**400, 7], [0, 0, 0], 0) == 1
+
+
+def test_argmax_returns_the_first_of_equal_maxima():
+    assert exact_argmax([1, 5, 3, 5, 5], [0, 0, 0, 0, 0], 0) == 1
+    # -2 + 4*sqrt(2) three times, among copies of 5 - sqrt(2) just below it
+    ps, qs = [1, 5, -2, 5, -2, -2], [1, -1, 4, -1, 4, 4]
+    assert exact_argmax(ps, qs, 2) == 2
+    assert exact_argmax(ps[2:], qs[2:], 2) == 0
+
+
+def decimal_value(x: QI) -> Decimal:
+    """(p + q*sqrt(d))/r to 1,000 digits, enough for the cancellations below."""
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        return (x.p + x.q * Decimal(x.d).sqrt()) / x.r
+
+
+def test_float_is_within_one_ulp():
+    pell = pell_sqrt2(10**15)[-6:]
+    values = [QI(p, -q, 1, 2) for p, q in pell] + [QI(-p, q, 3, 2) for p, q in pell]
+    report = rotation_discrepancy(LARGE_D, 3000, quotient_bound=63244)
+    values += [report.value, report.scaled(), report.surplus, report.deficit]
+    # coefficients near 10^400 that cancel to about 1, or divide down to it
+    big = [(p * 10**200, q * 10**200) for p, q in pell_sqrt2(10**200)[-3:]]
+    values += [QI(p, -q, 1, 2) for p, q in big] + [QI(10**400, 3 * 10**400, 10**400 + 1, 7)]
+    values += [QI(1, 0, 3, 0), QI(-(10**400) - 1, 0, 10**400, 0), QI(10**300, 0, 7, 0), QI(0, 0, 1, 0)]
+    for x in values:
+        f = float(x)
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            assert abs(Decimal(f) - decimal_value(x)) <= Decimal(math.ulp(f)), x
