@@ -31,34 +31,36 @@ CHUNK_LETTERS = 1 << 13
 
 
 def build_suffix_array(letters: np.ndarray, depth: int):
-    """Prefix doubling (Manber & Myers) on every row of a (W, n) letter array,
-    stopped once it can tell apart every factor of length up to `depth`.
-
-    Round k ranks the first 2^k letters of each suffix densely from 1, from
-    one stable argsort per row of the key rank * base + the rank 2^(k-1)
-    letters on.  Each row carries a column n past its end, of rank 0, which
-    sorts first.  The rounds stop after round R once 2^R > depth, or earlier
-    when every row's ranks are distinct.  Returns the int32 (W, n) order of
-    round R, which sorts each row's suffixes by their first 2^R letters (the
-    suffix array once the ranks are distinct), and the (W, n + 1) ranks of
-    rounds 0..R-1 for `lcp_array`, each in the smallest type that holds it.
-    """
+    """Prefix doubling (Manber & Myers) from packed q-grams on every row of a
+    (W, n) letter array, stopped once it tells apart every factor of length
+    up to `depth`.  Round 0 sorts grams: a uint64 per position holds its next
+    q letters, letter + 1 in b bits each, first letter highest, 0 past the
+    end; b is the bit length of the largest letter + 1, q the largest power
+    of two <= 64 // b, capped at the least power of two above `depth`.  Round
+    k ranks the first q * 2^k letters by a stable argsort per row of rank *
+    (n + 1) + the rank q * 2^(k-1) letters on.  Column n, past a row's end,
+    sorts first.  The rounds stop after round R once q * 2^R > depth or every
+    row's ranks are distinct.  Returns the int32 (W, n) order of round R (by
+    the first q * 2^R letters, ties by start), and for `lcp_array` the grams,
+    the cuts 0, 2^b, ..., 2^((q-1)b) and the ranks of rounds 0..R-1 (grams
+    for round 0)."""
     w, n = letters.shape
-    top = int(letters.max(initial=0)) + 1
-    rank = np.zeros((w, n + 1), dtype=np.min_scalar_type(top))
-    rank[:, :n] = letters
-    rank[:, :n] += 1
-    base = np.int64(max(n, top) + 1)
+    width = (int(letters.max(initial=0)) + 1).bit_length()
+    q = min(1 << (64 // width).bit_length() - 1, 1 << min(depth, n).bit_length())
+    grams = np.zeros((w, n + 1), dtype=np.uint64)
+    grams[:, :n] = letters
+    grams[:, :n] += 1
+    for span in (1 << k for k in range(q.bit_length() - 1)):
+        grams <<= width * span
+        grams[:, : n + 1 - span] |= grams[:, span:] >> (width * span)
+    cuts = np.array([0] + [1 << width * k for k in range(1, q)], dtype=np.uint64)
     row_start = np.arange(w)[:, None] * (n + 1)
-    ranks = []
+    key, ranks, span = grams, [], q
     while True:
-        ranks.append(rank)
-        shift = 1 << (len(ranks) - 1)
-        key = rank.astype(np.int64)  # int64 whatever numpy's casting rules
-        key *= base
-        key[:, : n + 1 - shift] += rank[:, shift:]
         order = key.argsort(axis=1, kind="stable")
         order += row_start
+        if span > depth:
+            break
         at = order.ravel()
         key = key.ravel()[at].reshape(w, n + 1)
         fresh = np.zeros((w, n + 1), dtype=np.int32)
@@ -66,21 +68,29 @@ def build_suffix_array(letters: np.ndarray, depth: int):
         del key
         fresh.cumsum(axis=1, out=fresh)
         top = fresh[:, -1].tolist()  # distinct ranks per row
-        if 1 << len(ranks) > depth or min(top, default=n) == n:
-            order -= row_start
-            return order[:, 1:].astype(np.int32), ranks
+        if min(top, default=n) == n:
+            break
         rank = np.empty((w, n + 1), dtype=np.min_scalar_type(max(top)))
         rank.ravel()[at] = fresh.ravel()
+        del at, order, fresh
+        ranks.append(rank if ranks else grams)
+        key = rank * np.int64(n + 1)  # int64 whatever rank's type
+        key[:, : n + 1 - span] += rank[:, span:]
+        del rank
+        span *= 2
+    order -= row_start
+    return order[:, 1:].astype(np.int32), (grams, cuts, ranks)
 
 
-def lcp_array(order: np.ndarray, ranks: list) -> np.ndarray:
-    """lcp[w, r]: the longest common prefix of the suffixes order[w, r - 1]
-    and order[w, r] of row w (0 for r = 0), capped at 2^len(ranks) - 1.
-    Going down from the top round k, add 2^k wherever the round-k ranks of
-    the two suffixes, that many letters on, agree.  Two suffixes share a
-    round-k rank only if both hold 2^k more letters, so the descent stops at
-    a row's end, a 0.  Columns go through CHUNK_LETTERS pairs at a time."""
+def lcp_array(order: np.ndarray, levels) -> np.ndarray:
+    """lcp[w, r]: the common prefix of suffixes order[w, r - 1] and order[w, r]
+    (0 for r = 0), capped at q * 2^len(ranks) - 1.  From the top round k down,
+    add q * 2^k where the round-k ranks that many letters on agree; then q
+    less the cuts <= the next two grams' XOR, an exact search for its top bit
+    (q - 1, the cap, if equal).  CHUNK_LETTERS pairs at a time."""
+    grams, cuts, ranks = levels
     w, n = order.shape
+    q, grams = cuts.size, grams.ravel()
     lcp = np.zeros((w, n), dtype=np.int32)
     row_start = np.arange(w, dtype=np.int32)[:, None] * (n + 1)
     step = max(1, CHUNK_LETTERS // max(w, 1))
@@ -90,7 +100,8 @@ def lcp_array(order: np.ndarray, ranks: list) -> np.ndarray:
         part = lcp[:, lo:hi]
         for k in range(len(ranks) - 1, -1, -1):
             flat = ranks[k].ravel()
-            np.add(part, 1 << k, out=part, where=flat[a + part] == flat[b + part])
+            np.add(part, q << k, out=part, where=flat[a + part] == flat[b + part])
+        part += q - cuts.searchsorted(grams[a + part] ^ grams[b + part], side="right")
     return lcp
 
 
@@ -143,10 +154,13 @@ def _classes_per_row(keep: np.ndarray, half: np.ndarray) -> np.ndarray:
 def _suffix_pass(letters: np.ndarray, depth: int):
     """The suffix order and LCP of each row of a (W, n) letter array, and
     the LCP in start order: by_start[w, order[w, r]] = lcp[w, r]."""
-    order, ranks = build_suffix_array(letters, depth)
-    lcp = lcp_array(order, ranks)
+    order, levels = build_suffix_array(letters, depth)
+    lcp = lcp_array(order, levels)
     by_start = np.empty_like(lcp)
-    by_start[np.arange(lcp.shape[0])[:, None], order] = lcp
+    if lcp.shape[0] == 1:  # a 1-D scatter costs a third of the 2-D one
+        by_start[0][order[0]] = lcp[0]
+    else:
+        by_start[np.arange(lcp.shape[0])[:, None], order] = lcp
     return order, lcp, by_start
 
 

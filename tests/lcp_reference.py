@@ -1,7 +1,9 @@
 """Reference LCP array: Kasai's algorithm (Kasai et al., CPM 2001), a loop
-over positions.  The package reads the LCP off the doubling ranks
-(`absquares.counting.lcp_array`); this slow, letter-by-letter loop is what
-the tests compare that descent against."""
+over positions, and the common prefix of two suffixes letter by letter.  The
+package reads the LCP off the doubling ranks, q letters a step, and finishes
+it inside one packed q-gram from the highest set bit of an XOR
+(`absquares.counting.lcp_array`); these slow loops compare single letters,
+and are what the tests hold that descent to."""
 
 import numpy as np
 
@@ -28,3 +30,11 @@ def kasai(data: bytes, sa) -> np.ndarray:
         else:
             h = 0
     return lcp
+
+
+def common_prefix(data: bytes, i: int, j: int) -> int:
+    """Length of the common prefix of the suffixes of data at i and j."""
+    k = 0
+    while i + k < len(data) and j + k < len(data) and data[i + k] == data[j + k]:
+        k += 1
+    return k

@@ -5,11 +5,13 @@ doubling, reads first occurrences off the LCP descent and tests every even
 length at once; the oracles enumerate substrings one by one.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from counting_reference import asf_profile_brute, inequivalent_profile_brute
-from lcp_reference import kasai
+from lcp_reference import common_prefix, kasai
 from paper_facts import fibonacci_word
 from absquares import counting
 from absquares.analysis import random_baseline
@@ -115,6 +117,70 @@ def test_suffix_array_and_lcp_descent():
     tm = thue_morse_prefix(4096).data
     order, _ = build_suffix_array(np.frombuffer(tm, dtype=np.uint8)[None], len(tm))
     assert list(order[0]) == sorted(range(len(tm)), key=lambda i: tm[i:])
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 17, 256])
+def test_packed_rounds_against_sorting_and_kasai(sigma):
+    # a gram holds q letters of b bits, b the bit length of the top letter
+    # + 1: q = 64, 32, 32, 16, 8, 4 here; the depths stop the doubling inside
+    # round 0, at its end and one round on, and the rows are shorter than a
+    # gram, one gram long and one letter longer
+    q = 1 << (64 // sigma.bit_length()).bit_length() - 1
+    rng = np.random.default_rng(sigma)
+    for n in (q - 1, q, q + 1, 3 * q + 5):
+        words = rng.integers(0, sigma, size=(4, n), dtype=np.uint8)
+        words[0, n // 2] = sigma - 1  # the top letter sets b
+        words[1] = 0  # a unary row
+        for depth in sorted({d for d in (0, 1, q - 1, q, q + 1, n) if d <= n}):
+            cap = 1 << depth.bit_length()
+            order, levels = build_suffix_array(words, depth)
+            lcp = lcp_array(order, levels)
+            for row, sa, by_row in zip(words, order, lcp):
+                data = row.tobytes()
+                assert list(sa) == sorted(range(n), key=lambda i: (data[i : i + cap], i))
+                true = [common_prefix(data, int(i), int(j)) for i, j in zip(sa[:-1], sa[1:])]
+                assert list(by_row) == [0] + [min(t, cap - 1) for t in true]
+                if cap > n:
+                    assert np.array_equal(by_row, kasai(data, sa))
+                alone = build_suffix_array(row[None], depth)  # its own b and q
+                assert np.array_equal(alone[0][0], sa)
+                assert np.array_equal(lcp_array(*alone)[0], by_row)
+
+
+def test_gram_xor_with_all_low_bits_set():
+    # after a common prefix of 1..5 letters these suffixes are complements,
+    # so the two binary grams XOR to 2^m - 1 with m from 54 to 62 bits: a
+    # float64 rounds that up to 2^m and would read the top bit one too high
+    data = bytes([0, 0, 1] * 3 + [0, 1] * 30 + [0, 0, 0, 0, 1] + [1, 0] * 30)
+    order, levels = build_suffix_array(np.frombuffer(data, dtype=np.uint8)[None], len(data))
+    sa, lcp = order[0], lcp_array(order, levels)[0]
+    assert np.array_equal(lcp, kasai(data, sa))
+
+    def gram(i):  # 32 letters of 2 bits, letter + 1, first highest
+        return sum((data[i + k] + 1 if i + k < len(data) else 0) << 2 * (31 - k) for k in range(32))
+
+    ends = [(i + h // 32 * 32, j + h // 32 * 32) for i, j, h in zip(sa, sa[1:], lcp[1:])]
+    xors = [gram(i) ^ gram(j) for i, j in ends]  # the grams the descent ends on
+    rounded = [x for x in xors if x & (x + 1) == 0 and x.bit_length() > 53]
+    assert {x.bit_length() for x in rounded} >= {54, 56, 58, 60, 62}
+
+
+# tracemalloc peak, in bytes, of `_suffix_pass` on the word below at depth
+# 64 under the letter-at-a-time doubling that came before the packed round 0
+LETTERWISE_PEAK = 7_008_013
+
+
+def test_suffix_pass_memory_peak():
+    # the pass sets a long-word count's peak memory: the packed rounds must
+    # keep one gram array in n + 1 columns, no padded or second copy
+    word = np.random.default_rng(2024).integers(0, 2, size=(1, 200_000), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        counting._suffix_pass(word, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LETTERWISE_PEAK
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 """A depth-capped FactorIndex against the full one.
 
-`FactorIndex(word, depth)` stops the doubling after round R once 2^R > depth,
-so its order only sorts the suffixes by their first 2^R letters and its LCP
-reads at most 2^R - 1.  Every query up to the depth must still give what
-the full index gives; the full index is checked against sorting and Kasai.
+`FactorIndex(word, depth)` stops the doubling once it has sorted the suffixes
+by their first P letters, P the least power of two above the depth (round 0
+packs q <= P letters into one gram, and each later round doubles that), so
+its order is by those P letters, ties by start, and its LCP reads at most
+P - 1.  Every query up to the depth must still give what the full index
+gives; the full index is checked against sorting and Kasai.
 """
 
 import functools
@@ -11,7 +13,7 @@ import functools
 import numpy as np
 import pytest
 
-from lcp_reference import kasai
+from lcp_reference import common_prefix, kasai
 from occurrence_reference import occurrence_blocks, recurrence_by_blocks
 from paper_facts import distinct_factors, fibonacci_word
 from absquares.analysis import recurrence_index_estimate
@@ -19,7 +21,9 @@ from absquares.counting import FactorIndex, asf_profile, inequivalent_profile
 from absquares.substitutions import thue_morse_prefix
 from absquares.words import Alphabet, Word
 
-DEPTHS = (1, 2, 3, 63, 64, 65, 2000)
+# a gram holds 32 binary or 16 four-letter letters, so 15..33 stop the
+# doubling inside round 0, at its end and one round on
+DEPTHS = (0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 2000)
 KINDS = ("thue-morse", "fibonacci", "random-2", "random-3", "random-4")
 
 
@@ -43,13 +47,6 @@ def full_index(kind: str, length: int = 520) -> FactorIndex:
     assert list(index.sa) == sorted(range(index.n), key=lambda i: data[i:])
     assert np.array_equal(index.lcp, kasai(data, index.sa))
     return index
-
-
-def common_prefix(data: bytes, i: int, j: int) -> int:
-    k = 0
-    while i + k < len(data) and j + k < len(data) and data[i + k] == data[j + k]:
-        k += 1
-    return k
 
 
 def factor_ids(index: FactorIndex, length: int) -> np.ndarray:
@@ -87,9 +84,11 @@ def test_capped_index_matches_full(kind, depth):
     assert capped.depth == min(depth, full.n)
     for length in range(1, capped.depth + 1):
         assert_same_queries(capped, full, length, blocks=True)
-    # the descent reads the true common prefix, capped at 2^R - 1
+    # the order is by the first P letters, ties by start, and the descent
+    # reads the true common prefix, capped at P - 1
     cap = (1 << capped.depth.bit_length()) - 1
     sa = capped.sa
+    assert list(sa) == sorted(range(full.n), key=lambda i: (data[i : i + cap + 1], i))
     true = [common_prefix(data, int(i), int(j)) for i, j in zip(sa[:-1], sa[1:])]
     assert list(capped.lcp) == [0] + [min(t, cap) for t in true]
 
