@@ -20,10 +20,10 @@ import numpy as np
 
 from .words import Word
 
-# `batch_counts` takes its rows, and `lcp_array` its pairs, in chunks of at
-# most this many, so the ranks kept and the temporaries stay under a megabyte:
-# with 2^14 a `baseline` process peaked 1 MB higher than the per-word engine,
-# with 2^15 3 MB.
+# `batch_counts` takes its rows in chunks of at most this many letters and
+# `lcp_array` its pairs in half as many (each gathers two uint64 grams), so
+# the temporaries stay under a megabyte: with 2^14 a `baseline` process
+# peaked 1 MB higher than the per-word engine, with 2^15 3 MB.
 CHUNK_LETTERS = 1 << 13
 
 
@@ -74,7 +74,7 @@ def build_suffix_array(letters: np.ndarray, depth: int):
         rank.ravel()[at] = fresh.ravel()
         del at, order, fresh
         ranks.append(rank if ranks else grams)
-        key = rank * np.int64(n + 1)  # int64 whatever rank's type
+        key = np.multiply(rank, n + 1, dtype=np.int64)  # numpy 1.x: no wrap in rank's type
         key[:, : n + 1 - span] += rank[:, span:]
         del rank
         span *= 2
@@ -87,13 +87,13 @@ def lcp_array(order: np.ndarray, levels) -> np.ndarray:
     (0 for r = 0), capped at q * 2^len(ranks) - 1.  From the top round k down,
     add q * 2^k where the round-k ranks that many letters on agree; then q
     less the cuts <= the next two grams' XOR, an exact search for its top bit
-    (q - 1, the cap, if equal).  CHUNK_LETTERS pairs at a time."""
+    (q - 1, the cap, if equal).  CHUNK_LETTERS / 2 pairs at a time."""
     grams, cuts, ranks = levels
     w, n = order.shape
     q, grams = cuts.size, grams.ravel()
     lcp = np.zeros((w, n), dtype=np.int32)
     row_start = np.arange(w, dtype=np.int32)[:, None] * (n + 1)
-    step = max(1, CHUNK_LETTERS // max(w, 1))
+    step = max(1, CHUNK_LETTERS // 2 // max(w, 1))
     for lo in range(1, n, step):
         hi = min(lo + step, n)
         a, b = order[:, lo - 1 : hi - 1] + row_start, order[:, lo:hi] + row_start
