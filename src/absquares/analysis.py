@@ -18,6 +18,8 @@ numbers; see :class:`InadequatePrefixError`.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,12 +45,10 @@ def _require_adequate(prefix: Word, lengths, index: FactorIndex) -> None:
 
 def fit_exponent(lengths, values) -> float:
     """Least-squares slope of log(value) against log(length)."""
-    xs = np.log(np.asarray(lengths, dtype=float))
-    ys = np.log(np.asarray(values, dtype=float))
-    if np.any(~np.isfinite(ys)):
+    if not all(v > 0 for v in values):
         raise ValueError("values must be positive for a log-log fit")
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    xs, ys = [math.log(n) for n in lengths], [math.log(v) for v in values]
+    return statistics.linear_regression(xs, ys).slope
 
 
 def fit_quadratic_constant(per_length: dict) -> float:
@@ -73,17 +73,6 @@ class RichnessReport:
     c_min: float
     recurrence_table: dict  # n -> estimated least covering window
     recurrence_quotient_estimate: float
-
-    def rows(self):
-        for n in self.lengths:
-            yield {
-                "n": n,
-                "avg": self.avg_per_n[n],
-                "min": self.min_per_n[n],
-                "avg_over_n2": self.avg_per_n[n] / (n * n),
-                "min_over_n2": Fraction(self.min_per_n[n], n * n),
-                "recurrence_index": self.recurrence_table[n],
-            }
 
 
 def richness_report(prefix: Word, lengths, check_adequacy: bool = True) -> RichnessReport:
@@ -194,10 +183,6 @@ class RandomBaselineReport:
     means: tuple  # per length
     stddevs: tuple
     exponent: float | None  # log-log slope across lengths, needs >= 2 points
-
-    def rows(self):
-        for n, mean, std in zip(self.lengths, self.means, self.stddevs):
-            yield {"n": n, "mean": mean, "stddev": std}
 
 
 def _baseline_rows(rng, n: int, rows: int) -> np.ndarray:

@@ -9,6 +9,7 @@ Subcommands mirror the library layering:
 * ``discrepancy`` — exact orbit discrepancy with the log bound
 * ``certificate`` — quadratic-growth lower-bound certificate
 * ``richness``    — per-factor abelian-square density of a prefix
+* ``baseline``    — abelian-square totals of seeded random binary words
 * ``search``      — exhaustive maxima over words of a given length
 
 All commands write CSV or JSON (``--format``), to stdout or ``--output``.
@@ -318,18 +319,17 @@ def _cmd_richness(args) -> int:
         word, args.lengths, check_adequacy=not args.skip_adequacy_check
     )
     p = args.precision
-    rows = []
-    for raw in report.rows():
-        rows.append(
-            {
-                "n": raw["n"],
-                "avg": _round(raw["avg"], p),
-                "min": raw["min"],
-                "avg_over_n2": _round(raw["avg_over_n2"], p),
-                "min_over_n2": _round(raw["min_over_n2"], p),
-                "recurrence_index": raw["recurrence_index"],
-            }
-        )
+    rows = [
+        {
+            "n": n,
+            "avg": _round(report.avg_per_n[n], p),
+            "min": report.min_per_n[n],
+            "avg_over_n2": _round(report.avg_per_n[n] / (n * n), p),
+            "min_over_n2": _round(report.min_per_n[n] / (n * n), p),
+            "recurrence_index": report.recurrence_table[n],
+        }
+        for n in report.lengths
+    ]
     document = {
         "schema": "absquares.richness/1",
         "word_length": len(word),
@@ -359,8 +359,8 @@ def _cmd_baseline(args) -> int:
     report = random_baseline(args.lengths, trials=args.trials, seed=args.seed)
     p = args.precision
     rows = [
-        {"n": row["n"], "mean": _round(row["mean"], p), "stddev": _round(row["stddev"], p)}
-        for row in report.rows()
+        {"n": n, "mean": _round(mean, p), "stddev": _round(std, p)}
+        for n, mean, std in zip(report.lengths, report.means, report.stddevs)
     ]
     document = {
         "schema": "absquares.baseline/1",

@@ -8,10 +8,12 @@ coding accumulates.  Everything is computed on exact points
 rotation orbits integer floors and floor sums); floats only format a
 report.
 
-:func:`discrepancy` is the classical closed form on sorted points,
-O(N log N), with a witness interval read off its two maximizers.  The
-tests hold it exactly to an O(N^2) enumeration of candidate intervals,
-`discrepancy_bruteforce` in `tests/qi_reference.py`.
+Both entry points, :func:`discrepancy` on any exact point set and
+:func:`rotation_discrepancy` on an orbit kept as integer numerators, end in one
+closed form on sorted points, `_closed_form`, O(N log N), with a witness
+interval read off its two maximizers.  The tests hold it exactly to an
+O(N^2) enumeration of candidate intervals, `discrepancy_bruteforce` in
+`tests/qi_reference.py`.
 """
 
 from __future__ import annotations
@@ -21,16 +23,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 
-from .quadratic import QuadraticIrrational, cf_expand, exact_argmax, floors
+from .quadratic import QuadraticIrrational, as_qi, cf_expand, exact_argmax, floors
 from .sturmian import sturmian_asf_range
-
-
-def _as_exact(x):
-    if isinstance(x, (QuadraticIrrational, Fraction, int)):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)
-    raise TypeError(f"unsupported point type {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +35,10 @@ class PointSequence:
     origin: str = "adhoc"
 
     def __post_init__(self):
-        pts = tuple(_as_exact(x) for x in self.points)
+        pts = tuple(self.points)
         for x in pts:
+            if not isinstance(x, (QuadraticIrrational, Fraction, int)):
+                raise TypeError(f"unsupported point type {type(x).__name__}")
             if not (0 <= x < 1):
                 raise ValueError("points must lie in [0,1)")
         object.__setattr__(self, "points", pts)
@@ -90,16 +86,23 @@ class DiscrepancyReport:
         return self.n_points * self.value
 
 
-def _sorted_points(points) -> list:
-    return sorted(_as_exact(x) for x in points)
+def _closed_form(ps, qs, r: int, d: int, witness_limit: int) -> DiscrepancyReport:
+    """The closed form on sorted points y_i = (ps[i] + qs[i]*sqrt(d))/r.
 
-
-def _closed_form(n: int, top: int, bottom: int, y_top, y_bottom, witness_limit: int):
-    """Report from the maximizers top of (i+1)/N - y_i and bottom of
-    y_j - j/N (0-based, points sorted).  The witness is [y_bottom, y_top] when
-    bottom <= top and the open gap (y_top, y_bottom) otherwise: a tie just
-    outside either end would contradict a maximizer, so the interval holds
-    exactly the points between them and its error is surplus + deficit."""
+    D_N = max_i (i/N - y_i) + max_i (y_i - (i-1)/N); both maxima are
+    nonnegative (the i = N term forces the first, i = 1 the second).
+    `exact_argmax` finds the first maximizer top of (i+1)/N - y_i and bottom
+    of y_j - j/N (0-based) over the common denominator N*r; QIs are built
+    only for the reported values.  For N <= witness_limit the witness is
+    [y_bottom, y_top] when bottom <= top and the open gap (y_top, y_bottom)
+    otherwise: a tie just outside either end would contradict a maximizer,
+    so the interval holds exactly the points between them and its error is
+    surplus + deficit.
+    """
+    n = len(ps)
+    top = exact_argmax([(i + 1) * r - n * x for i, x in enumerate(ps)], [-n * x for x in qs], d)
+    bottom = exact_argmax([n * x - i * r for i, x in enumerate(ps)], [n * x for x in qs], d)
+    y_top, y_bottom = (QuadraticIrrational(ps[i], qs[i], r, d) for i in (top, bottom))
     surplus = Fraction(top + 1, n) - y_top
     deficit = y_bottom - Fraction(bottom, n)
     closed = bottom <= top
@@ -108,22 +111,21 @@ def _closed_form(n: int, top: int, bottom: int, y_top, y_bottom, witness_limit: 
     return DiscrepancyReport(n, surplus + deficit, surplus, deficit, witness)
 
 
-def discrepancy(seq, witness_limit: int = 256) -> DiscrepancyReport:
-    """Closed-form discrepancy over sorted points.
-
-    D_N = max_i (i/N - y_i) + max_i (y_i - (i-1)/N) on the sorted sample;
-    both maxima are nonnegative (the i = N term forces the first, i = 1
-    the second).  For N <= witness_limit the report carries a witness
-    interval (see `_closed_form`).
-    """
-    points = seq.points if isinstance(seq, PointSequence) else tuple(seq)
-    ys = _sorted_points(points)
-    n = len(ys)
-    if n == 0:
+def discrepancy(seq: PointSequence, witness_limit: int = 256) -> DiscrepancyReport:
+    """Discrepancy of any exact point set: the points, sorted, become
+    numerators over the lcm r of their denominators, in the field of their
+    radicand d (0 when every point is rational), for `_closed_form`."""
+    ys = [as_qi(y) for y in sorted(seq.points)]
+    if not ys:
         raise ValueError("discrepancy of an empty point set")
-    top = max(range(n), key=lambda i: Fraction(i + 1, n) - ys[i])
-    bottom = max(range(n), key=lambda i: ys[i] - Fraction(i, n))
-    return _closed_form(n, top, bottom, ys[top], ys[bottom], witness_limit)
+    fields = {y.d for y in ys} - {0}
+    if len(fields) > 1:
+        raise ValueError(f"points mix the radicands {sorted(fields)}")
+    d = fields.pop() if fields else 0
+    r = math.lcm(*(y.r for y in ys))
+    ps = [y.p * (r // y.r) for y in ys]
+    qs = [y.q * (r // y.r) for y in ys]
+    return _closed_form(ps, qs, r, d, witness_limit)
 
 
 _LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -152,8 +154,7 @@ def rotation_discrepancy(
     """Discrepancy of ({n*angle}), n = 1..N, with the log bound attached.
 
     The orbit stays integer numerators over angle.r, sorted by its ranks
-    (`orbit_order`); the two maximizers of the closed form come from
-    `exact_argmax`, and QIs are built only for reported values.
+    (`orbit_order`), for the same `_closed_form` as `discrepancy`.
     """
     if quotient_bound is None:
         try:
@@ -163,17 +164,13 @@ def rotation_discrepancy(
     if n_points < 1:
         raise ValueError("count must be >= 1")
     bound = kn2_bound(n_points, quotient_bound)
-    n, (p, q, r, d) = n_points, angle.as_tuple()
-    fl = floors(angle, 0, range(1, n + 1))
+    p, q, r, d = angle.as_tuple()
+    fl = floors(angle, 0, range(1, n_points + 1))
     order = orbit_order(fl)
-    # y_i = {k*angle} = (P + Q*sqrt(d))/r with k = order[i]; (i+1)/N - y_i and
-    # y_i - i/N over the common denominator N*r
-    yp = [k * p - fl[k - 1] * r for k in order]
-    yq = [k * q for k in order]
-    top = exact_argmax([(i + 1) * r - n * x for i, x in enumerate(yp)], [-n * x for x in yq], d)
-    bottom = exact_argmax([n * x - i * r for i, x in enumerate(yp)], [n * x for x in yq], d)
-    y_top, y_bottom = (QuadraticIrrational(yp[i], yq[i], r, d) for i in (top, bottom))
-    rep = _closed_form(n, top, bottom, y_top, y_bottom, witness_limit)
+    # y_i = {k*angle} = (k*p - floor(k*angle)*r + k*q*sqrt(d))/r with k = order[i]
+    rep = _closed_form(
+        [k * p - fl[k - 1] * r for k in order], [k * q for k in order], r, d, witness_limit
+    )
     return replace(rep, bound=bound, quotient_bound=quotient_bound)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: golden outputs, schemas, exit codes, and the
 modules each command loads."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from absquares.cli import main
+from absquares import cli
+from absquares.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -317,6 +319,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["sturmian-asf", "--max-n", "8"])
         assert exc.value.code == 2
+
+    def test_module_docstring_lists_every_subcommand(self):
+        actions = build_parser()._actions
+        (sub,) = (a for a in actions if isinstance(a, argparse._SubParsersAction))
+        listed = {line.split("``")[1] for line in cli.__doc__.splitlines() if line.startswith("* ``")}
+        assert listed == set(sub.choices)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]], ids=" ".join)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,10 +32,30 @@ def witness_error(points, witness):
     return abs(Fraction(inside, len(points)) - (d - g))
 
 
+def check_orbit_witness(angle, n, quotient_bound=None):
+    """The CLI's `rotation_discrepancy` against the brute force, its witness
+    against the points, and its report against `discrepancy` on the orbit."""
+    report = rotation_discrepancy(angle, n, quotient_bound)
+    seq = rotation_orbit(angle, n)
+    assert witness_error(seq.points, report.witness) == report.value
+    assert report.value == discrepancy_bruteforce(seq)
+    assert replace(report, bound=None, quotient_bound=None) == discrepancy(seq)
+
+
 class TestPointSequence:
     def test_points_must_live_in_unit_interval(self):
         with pytest.raises(ValueError):
             PointSequence((Fraction(1, 2), Fraction(3, 2)), "test")
+
+    def test_points_must_be_exact(self):
+        with pytest.raises(TypeError):
+            PointSequence((0.5,), "test")
+
+    def test_points_must_share_one_field(self):
+        # already sorted, so the sort never compares the two irrationals
+        seq = PointSequence((SILVER_ANGLE - Fraction(1, 10), Fraction(1, 2), GOLDEN_ANGLE), "test")
+        with pytest.raises(ValueError):
+            discrepancy(seq)
 
     def test_rotation_orbit_points(self):
         seq = rotation_orbit(GOLDEN_ANGLE, 3)
@@ -106,10 +127,13 @@ class TestDiscrepancy:
 
     @pytest.mark.parametrize("n", [5, 50, 100, 200])
     def test_witness_rule_attains_bruteforce_on_golden_orbits(self, n):
-        report = rotation_discrepancy(GOLDEN_ANGLE, n)
-        pts = rotation_orbit(GOLDEN_ANGLE, n).points
-        assert witness_error(pts, report.witness) == report.value
-        assert report.value == discrepancy_bruteforce(pts)
+        check_orbit_witness(GOLDEN_ANGLE, n)
+
+    @pytest.mark.parametrize("n", [5, 50, 100, 200])
+    @pytest.mark.parametrize("angle", [QI(1, 0, 3, 0), QI(2, 0, 7, 0), QI(5, 0, 13, 0)], ids=repr)
+    def test_witness_rule_attains_bruteforce_on_rational_orbits(self, angle, n):
+        # a rational angle repeats its points, so the CLI's path meets ties
+        check_orbit_witness(angle, n, quotient_bound=3)
 
     def test_witness_only_up_to_the_limit(self):
         assert rotation_discrepancy(GOLDEN_ANGLE, 300).witness is None
