@@ -377,7 +377,6 @@ def _search_kwargs(args) -> dict:
     return {
         "workers": args.workers,
         "witness_cap": args.witness_cap,
-        "checkpoint": args.checkpoint or None,  # Path("") would name the current directory
         "budgets": args.budget or None,
     }
 
@@ -408,7 +407,8 @@ def _cmd_search(args) -> int:
         )
         return 0
     runner = max_asf if args.mode == "max-asf" else max_inequivalent
-    result = runner(args.sigma, args.len, **_search_kwargs(args))
+    # Path("") would name the current directory
+    result = runner(args.sigma, args.len, checkpoint=args.checkpoint or None, **_search_kwargs(args))
     row = {
         "sigma": result.sigma,
         "length": result.length,
@@ -533,12 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     s_cmp = srch_sub.add_parser("compare")
     for p in (s_asf, s_ineq):
         p.add_argument("--sigma", type=int, required=True)
+        p.add_argument("--checkpoint", help="JSONL shard checkpoint path")
     s_cmp.add_argument("--sigmas", type=_int_list, default=[2, 3])
     for p in (s_asf, s_ineq, s_cmp):
         p.add_argument("--len", type=int, required=True)
         p.add_argument("--workers", type=_non_negative_int, default=0)
         p.add_argument("--witness-cap", type=_non_negative_int, default=16)
-        p.add_argument("--checkpoint", help="JSONL shard checkpoint path")
         p.add_argument(
             "--budget", type=_budgets, help="override budgets, e.g. '2=30,3=18'", default=None
         )

@@ -153,14 +153,13 @@ def _classes_per_row(keep: np.ndarray, half: np.ndarray) -> np.ndarray:
 
 def _suffix_pass(letters: np.ndarray, depth: int):
     """The suffix order and LCP of each row of a (W, n) letter array, and
-    the LCP in start order: by_start[w, order[w, r]] = lcp[w, r]."""
+    the LCP in start order: by_start[w, order[w, r]] = lcp[w, r], one flat
+    scatter for all rows at once (order[w] + w * n indexes the flat array)."""
     order, levels = build_suffix_array(letters, depth)
     lcp = lcp_array(order, levels)
+    w, n = lcp.shape
     by_start = np.empty_like(lcp)
-    if lcp.shape[0] == 1:  # a 1-D scatter costs a third of the 2-D one
-        by_start[0][order[0]] = lcp[0]
-    else:
-        by_start[np.arange(lcp.shape[0])[:, None], order] = lcp
+    by_start.ravel()[(order + np.arange(w, dtype=np.int32)[:, None] * n).ravel()] = lcp.ravel()
     return order, lcp, by_start
 
 

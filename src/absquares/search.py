@@ -19,7 +19,8 @@ import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +100,6 @@ def _canonical_blocks(sigma: int, length: int, prefix: bytes):
     (more only when one word is longer)."""
     if sigma < 1:
         raise ValueError("alphabet must have at least one letter")
-    if max(prefix, default=-1) >= sigma:
-        raise ValueError("prefix uses letters outside the alphabet")
     tail = 0
     while sigma ** (tail + 1) * length <= CHUNK_LETTERS and tail < length - len(prefix):
         tail += 1
@@ -109,43 +108,50 @@ def _canonical_blocks(sigma: int, length: int, prefix: bytes):
         yield _extend_canonical(head[None], sigma, length)
 
 
-def canonical_words(sigma: int, length: int, prefix: bytes = b""):
-    """Yield length-`length` canonical words extending `prefix`.
+def canonical_words(sigma: int, length: int):
+    """Yield the length-`length` canonical words, in lexicographic order.
 
-    Canonical: letter k appears only after all letters below k; the
-    yield order is lexicographic.  The prefix itself must be canonical.
+    Canonical: letter k appears only after all letters below k.
     """
-    for block in _canonical_blocks(sigma, length, prefix):
+    for block in _canonical_blocks(sigma, length, b""):
         yield from map(bytes, block)
+
+
+def _fold(records, cap: int) -> dict:
+    """Merge records of the best value, the number of words attaining it,
+    their first `cap` witnesses in order and the words read: the rule the
+    blocks of a shard and the shards of a search share."""
+    best, witnesses, attaining, count = -1, [], 0, 0
+    for rec in records:
+        count += rec["count"]
+        if rec["best"] < best:
+            continue
+        if rec["best"] > best:
+            best, attaining, witnesses = rec["best"], 0, []
+        attaining += rec["attaining"]
+        witnesses += islice(rec["witnesses"], cap - len(witnesses))
+    return {"best": best, "witnesses": witnesses, "attaining": attaining, "count": count}
 
 
 def _shard_worker(args) -> dict:
     sigma, length, objective, prefix, name, witness_cap = args
     symbols = np.array([ord(c) for c in Alphabet.default(sigma).symbols], dtype=np.uint8)
-    best = -1
-    witnesses: list[str] = []
-    attaining = 0
-    count = 0
-    for block in _canonical_blocks(sigma, length, prefix):
-        values = batch_counts(block, sigma, objective == OBJECTIVE_INEQUIVALENT).sum(axis=1)
-        count += len(values)
-        top = int(values.max())
-        if top < best:
-            continue
-        if top > best:
-            best, attaining, witnesses = top, 0, []
-        hits = np.flatnonzero(values == top)
-        attaining += hits.size
-        # the first attaining word is kept even at witness_cap 0
-        for row in hits[: max(witness_cap, 1) - len(witnesses)]:
-            witnesses.append(symbols[block[row]].tobytes().decode())
-    return {
-        "prefix": name,
-        "best": best,
-        "witnesses": witnesses,
-        "attaining": attaining,
-        "count": count,
-    }
+
+    def blocks():
+        for block in _canonical_blocks(sigma, length, prefix):
+            values = batch_counts(block, sigma, objective == OBJECTIVE_INEQUIVALENT).sum(axis=1)
+            top = int(values.max())
+            hits = np.flatnonzero(values == top)
+            # witnesses are decoded only as far as the fold takes them
+            yield {
+                "best": top,
+                "witnesses": (symbols[row].tobytes().decode() for row in block[hits]),
+                "attaining": hits.size,
+                "count": len(values),
+            }
+
+    # the first attaining word is kept even at witness_cap 0
+    return {"prefix": name, **_fold(blocks(), max(witness_cap, 1))}
 
 
 # -- checkpointing -------------------------------------------------------
@@ -212,16 +218,7 @@ class SearchResult:
     enumerated: int
 
     def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "length": self.length,
-            "objective": self.objective,
-            "maximum": self.maximum,
-            "witnesses": list(self.witnesses),
-            "witness_cap": self.witness_cap,
-            "witnesses_truncated": self.witnesses_truncated,
-            "enumerated": self.enumerated,
-        }
+        return asdict(self)
 
 
 def _check_budget(sigma: int, length: int, budgets) -> None:
@@ -282,20 +279,8 @@ def _search(
             if path:
                 _save_checkpoint(path, header, by_prefix.values())
     # lexicographic shard order makes the merge order-independent
-    records = [by_prefix[name] for name in names]
-
-    maximum = max(rec["best"] for rec in records)
-    witnesses: list[str] = []
-    attaining = 0
-    for rec in records:
-        if rec["best"] != maximum:
-            continue
-        attaining += rec["attaining"]
-        for w in rec["witnesses"]:
-            if len(witnesses) < witness_cap:
-                witnesses.append(w)
-    enumerated = sum(rec["count"] for rec in records)
-
+    merged = _fold((by_prefix[name] for name in names), witness_cap)
+    maximum, witnesses = merged["best"], merged["witnesses"]
     for w in witnesses:
         check = witness_value(w, objective)
         if check != maximum:
@@ -309,8 +294,8 @@ def _search(
         maximum,
         tuple(witnesses),
         witness_cap,
-        attaining > len(witnesses),
-        enumerated,
+        merged["attaining"] > len(witnesses),
+        merged["count"],
     )
 
 
@@ -333,16 +318,14 @@ class AlphabetComparison:
     binary_dominates: bool
 
     def as_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "results": [r.as_dict() for r in self.results],
-            "binary_dominates": self.binary_dominates,
-        }
+        return asdict(self)
 
 
 def compare_alphabets(length: int, sigmas=(2, 3), **kwargs) -> AlphabetComparison:
     """Evidence row: does a binary word do at least as well as larger
     alphabets at this length?  Reported, never asserted."""
+    if kwargs.get("checkpoint") is not None:
+        raise ValueError("a comparison takes no checkpoint: its searches would share one file")
     sigmas = tuple(sorted(set(sigmas)))
     if sigmas[:1] != (2,):
         raise ValueError("comparison is anchored at sigma=2")

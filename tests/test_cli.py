@@ -302,6 +302,17 @@ class TestSearchCommands:
         assert header == "sigma,length,maximum,witnesses,binary_dominates"
         assert len(rows) == 2
 
+    def test_compare_takes_no_checkpoint(self, capsys, tmp_path):
+        # one file cannot hold the shards of every alphabet size
+        checkpoint = tmp_path / "cmp.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "compare", "--len", "6", "--checkpoint", str(checkpoint)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --checkpoint" in captured.err
+        assert not checkpoint.exists()
+
     def test_compare_without_sigmas(self, capsys):
         assert main(["search", "compare", "--len", "6", "--sigmas", ""]) == 1
         captured = capsys.readouterr()

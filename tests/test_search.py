@@ -1,5 +1,6 @@
 """Exhaustive search: canonical pruning soundness, determinism, budgets."""
 
+import itertools
 import json
 
 import pytest
@@ -19,8 +20,12 @@ from absquares.search import (
     witness_value,
 )
 from absquares.counting import asf_profile, inequivalent_profile
-from absquares.words import Word
-from counting_reference import full_enumeration_max
+from absquares.words import Alphabet, Word
+from counting_reference import (
+    asf_profile_brute,
+    full_enumeration_max,
+    inequivalent_profile_brute,
+)
 
 
 class TestCanonicalWords:
@@ -155,6 +160,33 @@ class TestSearch:
         assert json.dumps(resumed.as_dict()) == expected
         assert path.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize("objective", [OBJECTIVE_DISTINCT, OBJECTIVE_INEQUIVALENT])
+    @pytest.mark.parametrize("sigma, length", [(2, 14), (3, 8)])
+    def test_witnesses_are_the_first_attaining_canonical_words(self, sigma, length, objective):
+        # (2, 14) folds two blocks of 512 words per shard, (3, 8) one block
+        # in each of 14 shards; the oracle lists every canonical word in
+        # lexicographic order with its brute-force value
+        oracle = {
+            OBJECTIVE_DISTINCT: asf_profile_brute,
+            OBJECTIVE_INEQUIVALENT: inequivalent_profile_brute,
+        }[objective]
+        alphabet = Alphabet.default(sigma)
+        values = {}
+        for letters in itertools.product(range(sigma), repeat=length):
+            seen = sorted(set(letters), key=letters.index)
+            if seen == list(range(len(seen))):  # letters first appear in order
+                word = Word(alphabet, bytes(letters))
+                values[word.text()] = oracle(word, length - length % 2).total
+        best = max(values.values())
+        attaining = [text for text, value in values.items() if value == best]
+        runner = max_asf if objective == OBJECTIVE_DISTINCT else max_inequivalent
+        for cap in (0, 1, 3, len(attaining) + 1):
+            result = runner(sigma, length, witness_cap=cap)
+            assert result.maximum == best
+            assert result.enumerated == len(values)
+            assert result.witnesses == tuple(attaining[:cap])
+            assert result.witnesses_truncated == (len(attaining) > cap)
+
     def test_checkpoint_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "shards.jsonl"
         max_asf(2, 8, checkpoint=str(path))
@@ -163,6 +195,17 @@ class TestSearch:
 
 
 class TestCompare:
+    def test_checkpoint_rejected_before_any_search(self, tmp_path, monkeypatch):
+        # one file cannot hold the shards of every alphabet size
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(search, "max_asf", no_search)
+        path = tmp_path / "cmp.jsonl"
+        with pytest.raises(ValueError, match="takes no checkpoint"):
+            compare_alphabets(6, checkpoint=str(path))
+        assert not path.exists()
+
     def test_binary_vs_ternary(self):
         comparison = compare_alphabets(8)
         assert [r.sigma for r in comparison.results] == [2, 3]
