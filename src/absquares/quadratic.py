@@ -398,18 +398,12 @@ def parse_cf(text: str) -> ContinuedFraction:
 
 
 def parse_angle(text: str) -> QuadraticIrrational:
-    """Parse "qi:(p,q,r,d)" or "cf:[a0;pre|period]" into an exact value."""
+    """Parse "qi:(p,q,r,d)" or "(p,q,r,d)" for (p + q*sqrt(d))/r, or
+    "cf:[a0;pre|period]" or "[a0;pre|period]" for a continued fraction."""
     body = text.strip()
-    if body.startswith("qi:"):
-        match = _QI_RE.match(body[3:].strip())
-        if not match:
-            raise ValueError(f"malformed quadratic irrational: {text!r}")
-        p, q, r, d = (int(g) for g in match.groups())
-        return QuadraticIrrational(p, q, r, d)
     if body.startswith("cf:") or body.startswith("["):
         return cf_value(parse_cf(body))
-    match = _QI_RE.match(body)
+    match = _QI_RE.match(body.removeprefix("qi:").strip())
     if match:
-        p, q, r, d = (int(g) for g in match.groups())
-        return QuadraticIrrational(p, q, r, d)
+        return QuadraticIrrational(*(int(g) for g in match.groups()))
     raise ValueError(f"unrecognized angle syntax: {text!r}")

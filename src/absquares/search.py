@@ -150,8 +150,7 @@ def _shard_worker(args) -> dict:
                 "count": len(values),
             }
 
-    # the first attaining word is kept even at witness_cap 0
-    return {"prefix": name, **_fold(blocks(), max(witness_cap, 1))}
+    return {"prefix": name, **_fold(blocks(), witness_cap)}
 
 
 # -- checkpointing -------------------------------------------------------

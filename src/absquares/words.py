@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,17 @@ class _SymbolTable(dict):
         raise ValueError(f"symbol {chr(code)!r} not in alphabet")
 
 
+@dataclass(frozen=True, slots=True)
 class Word:
     """Immutable word; ``data`` holds letter indices as bytes."""
 
-    __slots__ = ("alphabet", "data")
+    alphabet: Alphabet
+    data: bytes
 
-    def __init__(self, alphabet: Alphabet, data: bytes):
-        data = bytes(data)
-        if data.translate(None, _LETTERS[: alphabet.size]):  # a letter outside the alphabet
+    def __post_init__(self):
+        object.__setattr__(self, "data", bytes(self.data))
+        if self.data.translate(None, _LETTERS[: self.alphabet.size]):  # a letter outside the alphabet
             raise ValueError("letter index out of range for alphabet")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     # -- construction -------------------------------------------------
 
@@ -111,9 +108,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.data)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.data)
-
     def __getitem__(self, item):
         if isinstance(item, slice):
             return Word(self.alphabet, self.data[item])
@@ -123,22 +117,6 @@ class Word:
         if self.alphabet != other.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
         return Word(self.alphabet, self.data + other.data)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.alphabet == other.alphabet
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.data))
-
-    def __repr__(self) -> str:
-        text = self.text()
-        if len(text) > 40:
-            text = text[:37] + "..."
-        return f"Word({text!r})"
 
     def text(self) -> str:
         return self.data.decode("latin-1").translate(dict(enumerate(self.alphabet.symbols)))

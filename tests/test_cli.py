@@ -61,6 +61,30 @@ class TestGenerate:
         code, _ = run(capsys, "generate", "substitution-file", str(path), "--len", "8")
         assert code == 1
 
+    def test_substitution_file_seed_flag(self, capsys, tmp_path):
+        # --seed stands in for a missing '#seed:' header
+        with_header = tmp_path / "fib.sub"
+        with_header.write_text("#seed: a\na -> ab\nb -> a\n")
+        bare = tmp_path / "noseed.sub"
+        bare.write_text("a -> ab\nb -> a\n")
+        code, out = run(
+            capsys, "generate", "substitution-file", str(bare), "--seed", "a", "--len", "12"
+        )
+        assert (code, out) == (0, "abaababaabaa\n")
+        from_header = run(capsys, "generate", "substitution-file", str(with_header), "--len", "12")
+        assert from_header == (code, out)
+
+    def test_sturmian_rho_and_convention(self, capsys):
+        from absquares.quadratic import GOLDEN_ANGLE, QuadraticIrrational
+        from absquares.sturmian import SturmianSpec, sturmian_prefix
+
+        code, out = run(
+            capsys, "generate", "sturmian", "--angle", "cf:[0;|1]", "--rho", "qi:(1,0,3,0)",
+            "--convention", "right", "--len", "30",
+        )
+        spec = SturmianSpec(GOLDEN_ANGLE, QuadraticIrrational(1, 0, 3, 0), "right")
+        assert (code, out) == (0, sturmian_prefix(spec, 30).text() + "\n")
+
 
 @pytest.fixture
 def word_file(tmp_path):
@@ -129,6 +153,10 @@ class TestArithmeticCommands:
 
     def test_rational_angle_rejected(self, capsys):
         assert main(["sturmian-asf", "--angle", "qi:(1,0,3,0)", "--max-n", "8"]) == 1
+
+    def test_malformed_qi_angle_is_one_line(self, capsys):
+        assert main(["sturmian-asf", "--angle", "qi:(1,0,3)", "--max-n", "8"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized angle syntax: 'qi:(1,0,3)'\n"
 
 
 class TestDiscrepancyCommands:
@@ -207,6 +235,21 @@ class TestDiscrepancyCommands:
         assert rows[-1] == "36,5,3,15,180"
         assert len(rows) == 1 + 18
 
+    def test_certificate_without_sweep_is_the_last_sweep_row(self, capsys):
+        code, out = run(
+            capsys, "certificate", "--angle", "cf:[0;|1]", "--n", "36", "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines() == ["n,count_a,count_b,product,asf_sum", "36,5,3,15,180"]
+
+    def test_precision_rounds_the_displays(self, capsys):
+        code, out = run(capsys, "sturmian-asf", "--angle", "cf:[0;|1]", "--max-n", "4")
+        assert code == 0 and json.loads(out)["angle"]["approx"] == 0.618034
+        code, out = run(
+            capsys, "sturmian-asf", "--angle", "cf:[0;|1]", "--max-n", "4", "--precision", "3"
+        )
+        assert code == 0 and json.loads(out)["angle"]["approx"] == 0.618
+
 
 class TestAnalysisCommands:
     def test_richness(self, capsys, tmp_path):
@@ -218,6 +261,28 @@ class TestAnalysisCommands:
         assert code == 0
         assert [row["n"] for row in doc["rows"]] == [4, 8]
         assert doc["c_min"] > 0
+
+    def test_richness_adequacy_check_and_skip(self, capsys, tmp_path):
+        from absquares.analysis import richness_report
+        from absquares.words import read_word_file
+
+        path = tmp_path / "golden.txt"
+        golden = ["--angle", "cf:[0;|1]", "--len", "40"]
+        main(["generate", "sturmian", *golden, "--output", str(path)])
+        capsys.readouterr()
+        assert main(["richness", str(path), "--lengths", "8,16"]) == 1
+        assert "factor counts not stabilized" in capsys.readouterr().err
+        code, out = run(
+            capsys, "richness", str(path), "--lengths", "8,16", "--skip-adequacy-check"
+        )
+        assert code == 0
+        (word,) = read_word_file(path)
+        report = richness_report(word, (8, 16), check_adequacy=False)
+        rows = [(r["n"], r["avg"], r["min"], r["recurrence_index"]) for r in json.loads(out)["rows"]]
+        assert rows == [
+            (n, round(float(avg), 6), report.min_per_n[n], report.recurrence_table[n])
+            for n, avg in report.avg_per_n.items()
+        ]
 
     def test_baseline_deterministic(self, capsys):
         args = ["baseline", "--lengths", "32,64", "--trials", "5", "--seed", "9"]

@@ -249,6 +249,12 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_angle("tau")
 
+    def test_parse_angle_malformed_qi(self):
+        assert parse_angle(" qi: ( -1, 1, 2, 5 ) ") == GOLDEN_ANGLE
+        for text in ("qi:(-1,1,2)", "qi:(-1,1,2,-5)", "qi:[0;|1]"):
+            with pytest.raises(ValueError, match="unrecognized angle syntax"):
+                parse_angle(text)
+
     def test_as_tuple_roundtrip(self):
         p, q, r, d = GOLDEN_ANGLE.as_tuple()
         assert QI(p, q, r, d) == GOLDEN_ANGLE

@@ -187,6 +187,21 @@ class TestSearch:
             assert result.witnesses == tuple(attaining[:cap])
             assert result.witnesses_truncated == (len(attaining) > cap)
 
+    def test_cap_zero_checkpoint_records_hold_no_witness(self, tmp_path):
+        # a cap-0 search shows no witness, so its shard records keep none;
+        # records that still hold the first attaining word resume unchanged
+        expected = json.dumps(max_asf(2, 10, witness_cap=0).as_dict())
+        path = tmp_path / "cap0.jsonl"
+        assert json.dumps(max_asf(2, 10, witness_cap=0, checkpoint=str(path)).as_dict()) == expected
+        header, *records = path.read_text().splitlines()
+        assert records and all(json.loads(rec)["witnesses"] == [] for rec in records)
+        capped = tmp_path / "cap1.jsonl"
+        max_asf(2, 10, witness_cap=1, checkpoint=str(capped))
+        with_witness = capped.read_text().splitlines()[1:]
+        assert all(len(json.loads(rec)["witnesses"]) == 1 for rec in with_witness)
+        path.write_text("\n".join([header, *with_witness]) + "\n")
+        assert json.dumps(max_asf(2, 10, witness_cap=0, checkpoint=str(path)).as_dict()) == expected
+
     def test_checkpoint_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "shards.jsonl"
         max_asf(2, 8, checkpoint=str(path))
