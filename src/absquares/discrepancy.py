@@ -161,8 +161,6 @@ def rotation_discrepancy(
             quotient_bound = cf_expand(angle).quotient_bound
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{exc}; give the partial-quotient bound with --K") from None
-    if n_points < 1:
-        raise ValueError("count must be >= 1")
     bound = kn2_bound(n_points, quotient_bound)
     p, q, r, d = angle.as_tuple()
     fl = floors(angle, 0, range(1, n_points + 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd, isqrt, log, sqrt
 
 
@@ -46,6 +46,7 @@ def _numerator_sign(p: int, q: int, d: int) -> int:
     return _sign(p) * _sign(p * p - q * q * d)
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class QuadraticIrrational:
     """(p + q*sqrt(d)) / r in canonical form: r > 0, gcd(p, q, r) = 1,
@@ -65,8 +66,8 @@ class QuadraticIrrational:
         if q != 0:
             s, d = _split_square(d)
             q *= s
-            if d == 1:  # the radicand was a perfect square
-                p, q = p + q, 0
+            if d <= 1:  # the radicand was a perfect square, 0 included
+                p, q = p + q * d, 0
         if q == 0:
             d = 0
         if r < 0:
@@ -106,10 +107,8 @@ class QuadraticIrrational:
                     f"cannot mix sqrt({self.d}) and sqrt({other.d}) exactly"
                 )
             return other
-        if isinstance(other, int):
-            return QuadraticIrrational(other, 0, 1, 0)
-        if isinstance(other, Fraction):
-            return QuadraticIrrational.from_rational(other)
+        if isinstance(other, (int, Fraction)):
+            return QuadraticIrrational(other.numerator, 0, other.denominator, 0)
         return None
 
     def __add__(self, other):
@@ -186,15 +185,6 @@ class QuadraticIrrational:
 
     def __lt__(self, other):
         return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __eq__(self, other):
         if isinstance(other, (QuadraticIrrational, int, Fraction)):
@@ -370,30 +360,19 @@ def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
 # "cf:[a0;p1,p2|b1,b2]"  continued fraction, "|" separates preperiod/period
 
 _QI_RE = re.compile(r"^\(?\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(\d+)\s*\)?$")
+_INTS = r"\s*(?:-?\d+\s*(?:,\s*-?\d+\s*)*)?"
+_CF_RE = re.compile(rf"^\[\s*(-?\d+)\s*;({_INTS})(?:\|({_INTS}))?\]$")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+def _parse_int_list(text: str | None) -> tuple[int, ...]:
+    return tuple(map(int, re.findall(r"-?\d+", text or "")))
 
 
 def parse_cf(text: str) -> ContinuedFraction:
-    body = text.strip()
-    if body.startswith("cf:"):
-        body = body[3:]
-    body = body.strip()
-    if not (body.startswith("[") and body.endswith("]")):
+    match = _CF_RE.match(text.strip().removeprefix("cf:").strip())
+    if not match:
         raise ValueError(f"malformed continued fraction: {text!r}")
-    body = body[1:-1]
-    if ";" not in body:
-        raise ValueError(f"malformed continued fraction (missing ';'): {text!r}")
-    head, tail = body.split(";", 1)
-    if "|" in tail:
-        pre_text, per_text = tail.split("|", 1)
-    else:
-        pre_text, per_text = tail, ""
+    head, pre_text, per_text = match.groups()
     return ContinuedFraction(int(head), _parse_int_list(pre_text), _parse_int_list(per_text))
 
 

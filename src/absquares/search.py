@@ -166,9 +166,20 @@ def _checkpoint_header(sigma, length, objective, witness_cap) -> dict:
     }
 
 
-def _load_checkpoint(path: Path, header: dict) -> dict:
+def _is_shard_record(rec, names) -> bool:
+    return (
+        isinstance(rec, dict)
+        and rec.get("prefix") in names
+        and all(type(rec.get(key)) is int for key in ("best", "attaining", "count"))
+        and isinstance(rec.get("witnesses"), list)
+        and all(isinstance(w, str) for w in rec["witnesses"])
+    )
+
+
+def _load_checkpoint(path: Path, header: dict, names) -> dict:
     """Shard records by prefix.  A final line with no newline that does not
-    parse is a write cut short and is dropped; any other bad line is an error."""
+    parse is a write cut short and is dropped; any other bad line, or one
+    that is not a shard record of `names`, is an error."""
     if not path.exists():
         return {}
     lines = path.read_text().splitlines(keepends=True)
@@ -176,17 +187,20 @@ def _load_checkpoint(path: Path, header: dict) -> dict:
     for number, line in enumerate(lines, 1):
         try:
             if line.strip():
-                records.append(json.loads(line))
+                records.append((number, json.loads(line)))
         except ValueError as exc:
             if number == len(lines) > 1 and not line.endswith("\n"):
                 break
             raise ValueError(f"checkpoint {path} line {number} is corrupt: {exc}") from None
-    if records and records[0] != header:
+    if records and records[0][1] != header:
         raise ValueError(
             f"checkpoint {path} was written for different parameters: "
-            f"{records[0]}"
+            f"{records[0][1]}"
         )
-    return {rec["prefix"]: rec for rec in records[1:]}
+    for number, rec in records[1:]:
+        if not _is_shard_record(rec, names):
+            raise ValueError(f"checkpoint {path} line {number} is corrupt: not a shard of this search")
+    return {rec["prefix"]: rec for _, rec in records[1:]}
 
 
 def _save_checkpoint(path: Path, header: dict, records) -> None:
@@ -256,18 +270,17 @@ def _search(
 
     prefixes = list(canonical_words(sigma, min(_SHARD_PREFIX_LEN, length)))
     header = _checkpoint_header(sigma, length, objective, witness_cap)
-    path = Path(checkpoint) if checkpoint is not None else None
-    done = _load_checkpoint(path, header) if path else {}
-
     symbols = Alphabet.default(sigma).symbols
     names = ["".join(symbols[i] for i in p) for p in prefixes]
+    path = Path(checkpoint) if checkpoint is not None else None
+    done = _load_checkpoint(path, header, names) if path else {}
     by_prefix = dict(done)
     jobs = [
         (sigma, length, objective, p, name, witness_cap)
         for p, name in zip(prefixes, names)
         if name not in done
     ]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers and len(jobs) > 1 else None
+    pool = ProcessPoolExecutor(min(workers, len(jobs))) if workers and len(jobs) > 1 else None
     with pool or contextlib.nullcontext():
         # records come in shard order, each as soon as it and those before it are done
         finished = pool.map(_shard_worker, jobs) if pool else map(_shard_worker, jobs)

@@ -152,7 +152,10 @@ class TestArithmeticCommands:
         ) == 1
 
     def test_rational_angle_rejected(self, capsys):
-        assert main(["sturmian-asf", "--angle", "qi:(1,0,3,0)", "--max-n", "8"]) == 1
+        # (1 + 1*sqrt(0))/2 is 1/2: a radicand of 0 is rational whatever q is
+        for angle in ("qi:(1,0,3,0)", "qi:(1,1,2,0)"):
+            assert main(["sturmian-asf", "--angle", angle, "--max-n", "8"]) == 1
+            assert capsys.readouterr().err == "error: angle must be irrational in (0, 1)\n"
 
     def test_malformed_qi_angle_is_one_line(self, capsys):
         assert main(["sturmian-asf", "--angle", "qi:(1,0,3)", "--max-n", "8"]) == 1
@@ -206,6 +209,8 @@ class TestDiscrepancyCommands:
         angle = ["--angle", "cf:[0;|1]", "--N", "2000000", "--K", "0"]
         assert main(["discrepancy", *angle]) == 1
         assert capsys.readouterr().err == "error: partial-quotient bound must be >= 1\n"
+        assert main(["discrepancy", "--angle", "cf:[0;|1]", "--N", "0"]) == 1
+        assert capsys.readouterr().err == "error: need at least one point\n"
 
     def test_discrepancy_overflowing_period_bound_points_at_k(self, capsys):
         # the discriminant of (1 + sqrt(5))/10^400 is beyond float range
@@ -342,16 +347,27 @@ class TestSearchCommands:
         assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
         assert checkpoint.read_text() == "".join(lines)
 
-    @pytest.mark.parametrize("torn", ["header", "middle"])
+    @pytest.mark.parametrize(
+        "torn",
+        ["header", "middle", "{}", "[1, 2]", '{"prefix": "aaaa"}', "best", "witnesses", "zzzz"],
+    )
     def test_torn_header_or_middle_line_rejected(self, capsys, tmp_path, torn):
+        # a middle line that is not JSON, or JSON that is not a shard record of this search
         checkpoint = tmp_path / "shards.jsonl"
         search = ["search", "max-asf", "--sigma", "2", "--len", "10", "--checkpoint", str(checkpoint)]
         assert main(search) == 0
         lines = checkpoint.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        middle = {
+            "middle": lines[2][:20],
+            "best": json.dumps({**record, "best": "5"}),
+            "witnesses": json.dumps({**record, "witnesses": [1]}),
+            "zzzz": json.dumps({**record, "prefix": "zzzz"}),
+        }.get(torn, torn)
         if torn == "header":
             checkpoint.write_text(lines[0][:20])
         else:
-            checkpoint.write_text("".join(lines[:2]) + lines[2][:20] + "\n" + "".join(lines[3:]))
+            checkpoint.write_text("".join(lines[:2]) + middle + "\n" + "".join(lines[3:]))
         capsys.readouterr()
         assert main(search) == 1
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Exact quadratic-irrational arithmetic and continued fractions."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,12 @@ class TestArithmetic:
     def test_rational_detection(self):
         assert QI(3, 0, 2, 5).is_rational
         assert QI(0, 2, 1, 4).is_rational  # 2*sqrt(4) = 4
+        assert QI(1, 1, 2, 0).is_rational and QI(1, 1, 2, 0) == Fraction(1, 2)
+        assert QI.sqrt(0).is_rational and QI.sqrt(0) == 0
+        # a rational value hashes as its Fraction, so either finds the other's key
+        assert hash(QI(1, 1, 2, 0)) == hash(Fraction(1, 2)) and hash(QI.sqrt(0)) == hash(0)
+        assert hash(QI(3, 0, 2, 0)) == hash(Fraction(3, 2))
+        assert {Fraction(3, 2): "found"}[QI(3, 0, 2, 0)] == "found"
         assert not GOLDEN_ANGLE.is_rational
 
     def test_ordering(self):
@@ -254,6 +261,14 @@ class TestParsing:
         for text in ("qi:(-1,1,2)", "qi:(-1,1,2,-5)", "qi:[0;|1]"):
             with pytest.raises(ValueError, match="unrecognized angle syntax"):
                 parse_angle(text)
+
+    def test_parse_angle_malformed_cf(self):
+        assert parse_angle(" cf: [ 0 ; | 1 ] ") == GOLDEN_ANGLE
+        for text in ("cf:[0|1]", "cf:[a;|1]", "cf:[0;|1|2]", "cf:[0;1,,2|1]", "[0;|1,]"):
+            with pytest.raises(ValueError, match=re.escape(f"malformed continued fraction: {text!r}")):
+                parse_angle(text)
+        with pytest.raises(ValueError, match="partial quotients after a0 must be >= 1"):
+            parse_angle("cf:[0;|-1]")
 
     def test_as_tuple_roundtrip(self):
         p, q, r, d = GOLDEN_ANGLE.as_tuple()

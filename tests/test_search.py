@@ -112,6 +112,27 @@ class TestSearch:
         parallel = max_asf(2, 11, workers=2)
         assert json.dumps(serial.as_dict()) == json.dumps(parallel.as_dict())
 
+    def test_pool_is_sized_by_the_shards(self, monkeypatch):
+        # a forked pool starts every worker it is given, so it gets no more than the shards
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+        pooled = max_asf(2, 10, workers=1000)
+        assert asked == [8]
+        assert json.dumps(pooled.as_dict()) == json.dumps(max_asf(2, 10).as_dict())
+
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
             max_asf(2, DEFAULT_BUDGETS[2] + 2)

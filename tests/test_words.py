@@ -72,6 +72,8 @@ class TestWordBasics:
 
     def test_infer_alphabet_sorts_symbols(self):
         assert infer_alphabet("cba").symbols == ("a", "b", "c")
+        assert infer_alphabet("0110").symbols == ("0", "1")
+        assert infer_alphabet("").symbols == ("a", "b")
 
     def test_alphabet_holds_at_most_256_symbols(self):
         # a letter is stored as one byte
