@@ -30,20 +30,30 @@ CHUNK_LETTERS = 1 << 13
 # -- suffix sorting ---------------------------------------------------------
 
 
+def _start_fits(n: int) -> bool:
+    """Whether a doubling key, below (n + 1)^2, still fits int64 with a
+    suffix start 0..n in its low n.bit_length() bits: n < 2^21."""
+    return (n + 1) ** 2 << n.bit_length() <= 1 << 63
+
+
 def build_suffix_array(letters: np.ndarray, depth: int):
     """Prefix doubling (Manber & Myers) from packed q-grams on every row of a
     (W, n) letter array, stopped once it tells apart every factor of length
     up to `depth`.  Round 0 sorts grams: a uint64 per position holds its next
     q letters, letter + 1 in b bits each, first letter highest, 0 past the
     end; b is the bit length of the largest letter + 1, q the largest power
-    of two <= 64 // b, capped at the least power of two above `depth`.  Round
-    k ranks the first q * 2^k letters by a stable argsort per row of rank *
-    (n + 1) + the rank q * 2^(k-1) letters on.  Column n, past a row's end,
-    sorts first.  The rounds stop after round R once q * 2^R > depth or every
-    row's ranks are distinct.  Returns the int32 (W, n) order of round R (by
-    the first q * 2^R letters, ties by start), and for `lcp_array` the grams,
-    the cuts 0, 2^b, ..., 2^((q-1)b) and the ranks of rounds 0..R-1 (grams
-    for round 0)."""
+    of two <= 64 // b, capped at the least power of two above `depth`.  Its
+    argsort per row is stable only where round 0 is the last.  Round k ranks
+    the first q * 2^k letters by the int64 key rank * (n + 1) + the rank
+    q * 2^(k-1) letters on, with the start packed below it in n.bit_length()
+    bits, and sorts each row by value in place: the keys are unique, so that
+    is their stable order (rows of n >= 2^21, where the start does not fit,
+    take a stable argsort).  Column n, past a row's end, sorts first.  The
+    rounds stop after round R once q * 2^R > depth or every row's ranks are
+    distinct.  Returns the int32 (W, n) order of round R (by the first
+    q * 2^R letters, ties by start), and for `lcp_array` the grams, the cuts
+    0, 2^b, ..., 2^((q-1)b) and the ranks of rounds 0..R-1 (grams for round
+    0)."""
     w, n = letters.shape
     width = (int(letters.max(initial=0)) + 1).bit_length()
     q = min(1 << (64 // width).bit_length() - 1, 1 << min(depth, n).bit_length())
@@ -56,13 +66,23 @@ def build_suffix_array(letters: np.ndarray, depth: int):
     cuts = np.array([0] + [1 << width * k for k in range(1, q)], dtype=np.uint64)
     row_start = np.arange(w)[:, None] * (n + 1)
     key, ranks, span = grams, [], q
+    bits, packs = n.bit_length(), _start_fits(n)
     while True:
-        order = key.argsort(axis=1, kind="stable")
+        by_value = packs and bool(ranks)
+        if by_value:  # (key, start) is unique, so its sorted order is the stable one
+            key <<= bits
+            key |= np.arange(n + 1, dtype=np.int32)
+            key.sort(axis=1)
+            order = key & ((1 << bits) - 1)
+            key >>= bits
+        else:  # equal grams rank equally, so their order shows only in a last round 0
+            order = key.argsort(axis=1, kind="stable" if ranks or span > depth else None)
         order += row_start
         if span > depth:
             break
         at = order.ravel()
-        key = key.ravel()[at].reshape(w, n + 1)
+        if not by_value:
+            key = key.ravel()[at].reshape(w, n + 1)
         fresh = np.zeros((w, n + 1), dtype=np.int32)
         fresh[:, 1:] = key[:, 1:] != key[:, :-1]
         del key

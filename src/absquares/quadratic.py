@@ -187,7 +187,9 @@ class QuadraticIrrational:
         return self._cmp(other) < 0
 
     def __eq__(self, other):
-        if isinstance(other, (QuadraticIrrational, int, Fraction)):
+        if isinstance(other, (int, Fraction)):  # canonical: rational exactly when d == 0
+            return self.d == 0 and (self.p, self.r) == (other.numerator, other.denominator)
+        if isinstance(other, QuadraticIrrational):
             return self._cmp(other) == 0
         return NotImplemented
 

@@ -108,6 +108,16 @@ def _canonical_blocks(sigma: int, length: int, prefix: bytes):
         yield _extend_canonical(head[None], sigma, length)
 
 
+def _canonical_count(sigma: int, tail: int, used: int) -> int:
+    """f(tail, used): the canonical words that add `tail` letters to a
+    canonical prefix using `used` letters, by f(k, u) = u f(k - 1, u)
+    + [u < sigma] f(k - 1, u + 1) and f(0, u) = 1."""
+    f = [1] * (sigma + 1)  # f(k, u) for u = 0..sigma, from k = 0 up
+    for _ in range(tail):
+        f = [u * f[u] + (f[u + 1] if u < sigma else 0) for u in range(sigma + 1)]
+    return f[used]
+
+
 def canonical_words(sigma: int, length: int):
     """Yield the length-`length` canonical words, in lexicographic order.
 
@@ -166,13 +176,32 @@ def _checkpoint_header(sigma, length, objective, witness_cap) -> dict:
     }
 
 
-def _is_shard_record(rec, names) -> bool:
-    return (
+def _is_shard_record(rec, header: dict, names) -> bool:
+    """Whether `rec` could be the record of one of the shards `names` of the
+    search `header`: its shard's number of canonical words, 1 <= attaining
+    <= count, a best of at most one abelian square per even length ending at
+    each position, and as many witnesses as the cap keeps (or one, as cap-0
+    records held before they dropped it), each a word of the shard."""
+    if not (
         isinstance(rec, dict)
         and rec.get("prefix") in names
         and all(type(rec.get(key)) is int for key in ("best", "attaining", "count"))
         and isinstance(rec.get("witnesses"), list)
         and all(isinstance(w, str) for w in rec["witnesses"])
+    ):
+        return False
+    sigma, length, cap = header["sigma"], header["length"], header["witness_cap"]
+    prefix, symbols = rec["prefix"], set(Alphabet.default(sigma).symbols)
+    attaining = rec["attaining"]
+    return (
+        rec["count"] == _canonical_count(sigma, length - len(prefix), len(set(prefix)))
+        and 1 <= attaining <= rec["count"]
+        and 0 <= rec["best"] <= sum(j // 2 for j in range(length + 1))
+        and len(rec["witnesses"]) in (min(attaining, cap), min(attaining, max(cap, 1)))
+        and all(
+            len(w) == length and w.startswith(prefix) and set(w) <= symbols
+            for w in rec["witnesses"]
+        )
     )
 
 
@@ -198,7 +227,7 @@ def _load_checkpoint(path: Path, header: dict, names) -> dict:
             f"{records[0][1]}"
         )
     for number, rec in records[1:]:
-        if not _is_shard_record(rec, names):
+        if not _is_shard_record(rec, header, names):
             raise ValueError(f"checkpoint {path} line {number} is corrupt: not a shard of this search")
     return {rec["prefix"]: rec for _, rec in records[1:]}
 

@@ -119,8 +119,7 @@ def test_suffix_array_and_lcp_descent():
     assert list(order[0]) == sorted(range(len(tm)), key=lambda i: tm[i:])
 
 
-@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 17, 256])
-def test_packed_rounds_against_sorting_and_kasai(sigma):
+def check_packed_rounds(sigma):
     # a gram holds q letters of b bits, b the bit length of the top letter
     # + 1: q = 64, 32, 32, 16, 8, 4 here; the depths stop the doubling inside
     # round 0, at its end and one round on, and the rows are shorter than a
@@ -145,6 +144,28 @@ def test_packed_rounds_against_sorting_and_kasai(sigma):
                 alone = build_suffix_array(row[None], depth)  # its own b and q
                 assert np.array_equal(alone[0][0], sa)
                 assert np.array_equal(lcp_array(*alone)[0], by_row)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 17, 256])
+def test_packed_rounds_against_sorting_and_kasai(sigma):
+    check_packed_rounds(sigma)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 17, 256])
+def test_stable_argsort_rounds_give_the_same_orders(sigma, monkeypatch):
+    # rows of 2^21 letters and more sort their keys by a stable argsort
+    monkeypatch.setattr(counting, "_start_fits", lambda n: False)
+    check_packed_rounds(sigma)
+
+
+def test_start_fits_below_2_21_letters():
+    n = (1 << 21) - 1
+    assert counting._start_fits(n) and not counting._start_fits(n + 1)
+    # the largest key, (n + 1)^2 - 1, packed with the largest start
+    key = np.array([(n + 1) ** 2 - 1], dtype=np.int64)
+    key <<= n.bit_length()
+    key |= np.array([n], dtype=np.int32)
+    assert key.dtype == np.int64 and key[0] == np.iinfo(np.int64).max
 
 
 def test_gram_xor_with_all_low_bits_set():

@@ -374,6 +374,50 @@ class TestSearchCommands:
         assert err.count("\n") == 1
         assert err.startswith(f"error: checkpoint {checkpoint} line {1 if torn == 'header' else 3} is corrupt")
 
+    @pytest.mark.parametrize(
+        "cap, forge",
+        [
+            (0, lambda rec: {"best": 999, "attaining": 1}),
+            (16, lambda rec: {"best": 999, "witnesses": []}),
+            (16, lambda rec: {"best": -1}),
+            (16, lambda rec: {"count": rec["count"] + 1}),
+            (16, lambda rec: {"attaining": 0, "witnesses": []}),
+            (0, lambda rec: {"attaining": rec["count"] + 1}),
+            (16, lambda rec: {"witnesses": rec["witnesses"][1:]}),
+            (0, lambda rec: {"witnesses": ["aaabaaaaaa"] * 2}),
+            (16, lambda rec: {"witnesses": [w[:-1] for w in rec["witnesses"]]}),
+            (16, lambda rec: {"witnesses": ["bbbb" + w[4:] for w in rec["witnesses"]]}),
+            (16, lambda rec: {"witnesses": [w[:-1] + "z" for w in rec["witnesses"]]}),
+        ],
+        ids=[
+            "cap0-best",
+            "best-without-witness",
+            "negative-best",
+            "count",
+            "no-word-attains",
+            "attaining-over-count",
+            "witness-missing",
+            "witnesses-over-cap",
+            "witness-length",
+            "witness-prefix",
+            "witness-symbol",
+        ],
+    )
+    def test_forged_record_values_rejected(self, capsys, tmp_path, cap, forge):
+        # a record of the right types whose values no shard of this search could hold
+        checkpoint = tmp_path / "shards.jsonl"
+        search = ["search", "max-asf", "--sigma", "2", "--len", "10", "--witness-cap", str(cap)]
+        search += ["--checkpoint", str(checkpoint)]
+        assert main(search) == 0
+        lines = checkpoint.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        forged = json.dumps({**record, **forge(record)})
+        checkpoint.write_text("".join(lines[:2]) + forged + "\n" + "".join(lines[3:]))
+        capsys.readouterr()
+        assert main(search) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {checkpoint} line 3 is corrupt")
+
     def test_compare_csv(self, capsys):
         code, out = run(
             capsys, "search", "compare", "--len", "6", "--format", "csv"

@@ -100,10 +100,14 @@ class TestArithmetic:
 
     def test_order_and_floor_build_no_values(self, monkeypatch):
         x, y = QI(-31622, 1, 1, 1000000007), QI(3, -2, 7, 1000000007)
+        half, three = QI(1, 0, 2, 0), QI(3, 0, 1, 0)
         built = []
         init = QI.__init__
         monkeypatch.setattr(QI, "__init__", lambda self, *a: built.append(a) or init(self, *a))
         assert (x < y, x == y, x == x, y.floor(), x.floor()) == (False, False, True, -9035, 0)
+        # an int or Fraction operand is compared with the canonical form as it is
+        rational = (half == Fraction(1, 2), half == 1, three == 3, three == Fraction(3, 2))
+        assert rational + (x == -31622, y != 0) == (True, False, True, False, False, True)
         assert built == []
 
     def test_abs(self):
