@@ -377,30 +377,23 @@ class TestSearchCommands:
     @pytest.mark.parametrize(
         "cap, forge",
         [
-            (0, lambda rec: {"best": 999, "attaining": 1}),
-            (16, lambda rec: {"best": 999, "witnesses": []}),
-            (16, lambda rec: {"best": -1}),
-            (16, lambda rec: {"count": rec["count"] + 1}),
-            (16, lambda rec: {"attaining": 0, "witnesses": []}),
-            (0, lambda rec: {"attaining": rec["count"] + 1}),
-            (16, lambda rec: {"witnesses": rec["witnesses"][1:]}),
-            (0, lambda rec: {"witnesses": ["aaabaaaaaa"] * 2}),
-            (16, lambda rec: {"witnesses": [w[:-1] for w in rec["witnesses"]]}),
-            (16, lambda rec: {"witnesses": ["bbbb" + w[4:] for w in rec["witnesses"]]}),
-            (16, lambda rec: {"witnesses": [w[:-1] + "z" for w in rec["witnesses"]]}),
-        ],
-        ids=[
-            "cap0-best",
-            "best-without-witness",
-            "negative-best",
-            "count",
-            "no-word-attains",
-            "attaining-over-count",
-            "witness-missing",
-            "witnesses-over-cap",
-            "witness-length",
-            "witness-prefix",
-            "witness-symbol",
+            pytest.param(0, lambda rec: {"best": 999, "attaining": 1}, id="cap0-best"),
+            pytest.param(16, lambda rec: {"best": 999, "witnesses": []}, id="best-without-witness"),
+            pytest.param(16, lambda rec: {"best": -1}, id="negative-best"),
+            pytest.param(16, lambda rec: {"count": rec["count"] + 1}, id="count"),
+            pytest.param(16, lambda rec: {"attaining": 0, "witnesses": []}, id="no-word-attains"),
+            pytest.param(0, lambda rec: {"attaining": rec["count"] + 1}, id="attaining-over-count"),
+            pytest.param(16, lambda rec: {"witnesses": rec["witnesses"][1:]}, id="witness-missing"),
+            pytest.param(0, lambda rec: {"witnesses": ["aaabaaaaaa"] * 2}, id="witnesses-over-cap"),
+            pytest.param(
+                16, lambda rec: {"witnesses": [w[:-1] for w in rec["witnesses"]]}, id="witness-length"
+            ),
+            pytest.param(
+                16, lambda rec: {"witnesses": ["bbbb" + w[4:] for w in rec["witnesses"]]}, id="witness-prefix"
+            ),
+            pytest.param(
+                16, lambda rec: {"witnesses": [w[:-1] + "z" for w in rec["witnesses"]]}, id="witness-symbol"
+            ),
         ],
     )
     def test_forged_record_values_rejected(self, capsys, tmp_path, cap, forge):
