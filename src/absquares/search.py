@@ -43,8 +43,8 @@ class BudgetExceededError(ValueError):
     """The requested search is beyond the configured budget."""
 
 
-class VerificationError(RuntimeError):
-    """A witness failed independent re-verification (engine bug)."""
+class VerificationError(AssertionError):
+    """A witness failed independent re-verification (engine bug or forged checkpoint)."""
 
 
 # -- objectives ----------------------------------------------------------
@@ -129,8 +129,8 @@ def canonical_words(sigma: int, length: int):
 
 def _fold(records, cap: int) -> dict:
     """Merge records of the best value, the number of words attaining it,
-    their first `cap` witnesses in order and the words read: the rule the
-    blocks of a shard and the shards of a search share."""
+    their first max(cap, 1) witnesses in order (so each names a word) and
+    the words read: the rule the blocks of a shard and the shards share."""
     best, witnesses, attaining, count = -1, [], 0, 0
     for rec in records:
         count += rec["count"]
@@ -139,7 +139,7 @@ def _fold(records, cap: int) -> dict:
         if rec["best"] > best:
             best, attaining, witnesses = rec["best"], 0, []
         attaining += rec["attaining"]
-        witnesses += islice(rec["witnesses"], cap - len(witnesses))
+        witnesses += islice(rec["witnesses"], max(cap, 1) - len(witnesses))
     return {"best": best, "witnesses": witnesses, "attaining": attaining, "count": count}
 
 
@@ -179,9 +179,8 @@ def _checkpoint_header(sigma, length, objective, witness_cap) -> dict:
 def _is_shard_record(rec, header: dict, names) -> bool:
     """Whether `rec` could be the record of one of the shards `names` of the
     search `header`: its shard's number of canonical words, 1 <= attaining
-    <= count, a best of at most one abelian square per even length ending at
-    each position, and as many witnesses as the cap keeps (or one, as cap-0
-    records held before they dropped it), each a word of the shard."""
+    <= count, as many witnesses as the fold keeps, each a word of the shard,
+    and a best that the first witness re-verifies to."""
     if not (
         isinstance(rec, dict)
         and rec.get("prefix") in names
@@ -196,12 +195,12 @@ def _is_shard_record(rec, header: dict, names) -> bool:
     return (
         rec["count"] == _canonical_count(sigma, length - len(prefix), len(set(prefix)))
         and 1 <= attaining <= rec["count"]
-        and 0 <= rec["best"] <= sum(j // 2 for j in range(length + 1))
-        and len(rec["witnesses"]) in (min(attaining, cap), min(attaining, max(cap, 1)))
+        and len(rec["witnesses"]) == min(attaining, max(cap, 1))
         and all(
             len(w) == length and w.startswith(prefix) and set(w) <= symbols
             for w in rec["witnesses"]
         )
+        and witness_value(rec["witnesses"][0], header["objective"]) == rec["best"]
     )
 
 
@@ -321,8 +320,8 @@ def _search(
                 _save_checkpoint(path, header, by_prefix.values())
     # lexicographic shard order makes the merge order-independent
     merged = _fold((by_prefix[name] for name in names), witness_cap)
-    maximum, witnesses = merged["best"], merged["witnesses"]
-    for w in witnesses:
+    maximum = merged["best"]
+    for w in merged["witnesses"]:
         check = witness_value(w, objective)
         if check != maximum:
             raise VerificationError(
@@ -333,9 +332,9 @@ def _search(
         length,
         objective,
         maximum,
-        tuple(witnesses),
+        tuple(merged["witnesses"][:witness_cap]),
         witness_cap,
-        merged["attaining"] > len(witnesses),
+        merged["attaining"] > witness_cap,
         merged["count"],
     )
 

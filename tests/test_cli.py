@@ -378,6 +378,10 @@ class TestSearchCommands:
         "cap, forge",
         [
             pytest.param(0, lambda rec: {"best": 999, "attaining": 1}, id="cap0-best"),
+            pytest.param(0, lambda rec: {"best": 25}, id="cap0-best-at-bound"),
+            pytest.param(0, lambda rec: {"witnesses": []}, id="cap0-without-witness"),
+            # line 3 (best 9) is not the record of the maximum, 11
+            pytest.param(16, lambda rec: {"best": rec["best"] + 1}, id="best-over-first-witness"),
             pytest.param(16, lambda rec: {"best": 999, "witnesses": []}, id="best-without-witness"),
             pytest.param(16, lambda rec: {"best": -1}, id="negative-best"),
             pytest.param(16, lambda rec: {"count": rec["count"] + 1}, id="count"),
@@ -409,7 +413,28 @@ class TestSearchCommands:
         capsys.readouterr()
         assert main(search) == 1
         err = capsys.readouterr().err
+        assert err.count("\n") == 1
         assert err.startswith(f"error: checkpoint {checkpoint} line 3 is corrupt")
+
+    def test_forged_later_witness_fails_reverification(self, capsys, tmp_path):
+        # the load re-verifies each record's first witness; a later witness of
+        # the record that carries the maximum meets the search's own re-check
+        checkpoint = tmp_path / "shards.jsonl"
+        search = ["search", "max-asf", "--sigma", "2", "--len", "12", "--checkpoint", str(checkpoint)]
+        assert main(search) == 0
+        header, *lines = checkpoint.read_text().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        top = max(records, key=lambda rec: rec["best"])
+        assert len(top["witnesses"]) >= 2
+        forged = top["prefix"].ljust(12, "a")
+        top["witnesses"][1] = forged
+        checkpoint.write_text(header + "".join(json.dumps(rec) + "\n" for rec in records))
+        capsys.readouterr()
+        assert main(search) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: witness {forged!r} re-verified to ")
+        assert err.endswith(f", expected {top['best']}\n")
 
     def test_compare_csv(self, capsys):
         code, out = run(

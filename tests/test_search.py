@@ -208,20 +208,42 @@ class TestSearch:
             assert result.witnesses == tuple(attaining[:cap])
             assert result.witnesses_truncated == (len(attaining) > cap)
 
-    def test_cap_zero_checkpoint_records_hold_no_witness(self, tmp_path):
-        # a cap-0 search shows no witness, so its shard records keep none;
-        # records that still hold the first attaining word resume unchanged
+    def test_cap_zero_checkpoint_records_hold_the_first_attaining_word(self, tmp_path):
+        # a cap-0 search shows no witness, but each shard record still names
+        # the first word attaining its best, so a resume can re-verify it
         expected = json.dumps(max_asf(2, 10, witness_cap=0).as_dict())
         path = tmp_path / "cap0.jsonl"
         assert json.dumps(max_asf(2, 10, witness_cap=0, checkpoint=str(path)).as_dict()) == expected
         header, *records = path.read_text().splitlines()
-        assert records and all(json.loads(rec)["witnesses"] == [] for rec in records)
+        values = {}
+        for letters in canonical_words(2, 10):
+            word = Word(Alphabet.default(2), letters)
+            values[word.text()] = asf_profile_brute(word, 10).total
+        assert len(records) == 8
+        for rec in map(json.loads, records):
+            shard = {text: v for text, v in values.items() if text.startswith(rec["prefix"])}
+            assert rec["best"] == max(shard.values())
+            assert rec["witnesses"] == [next(t for t, v in shard.items() if v == rec["best"])]
+        # records with one witness, such as a cap-1 search writes, resume at cap 0
         capped = tmp_path / "cap1.jsonl"
         max_asf(2, 10, witness_cap=1, checkpoint=str(capped))
         with_witness = capped.read_text().splitlines()[1:]
-        assert all(len(json.loads(rec)["witnesses"]) == 1 for rec in with_witness)
+        assert with_witness == records
         path.write_text("\n".join([header, *with_witness]) + "\n")
         assert json.dumps(max_asf(2, 10, witness_cap=0, checkpoint=str(path)).as_dict()) == expected
+
+    def test_fresh_cap_zero_search_reverifies_its_maximum(self, monkeypatch):
+        # the witness a cap-0 search does not show is still re-verified
+        first = max_asf(2, 10, witness_cap=1).witnesses
+        checked = []
+
+        def spy(text, objective):
+            checked.append(text)
+            return witness_value(text, objective)
+
+        monkeypatch.setattr(search, "witness_value", spy)
+        assert max_asf(2, 10, witness_cap=0).witnesses == ()
+        assert tuple(checked) == first
 
     def test_checkpoint_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "shards.jsonl"
