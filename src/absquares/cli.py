@@ -22,34 +22,21 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import io
 import json
 import sys
 
-# Each command imports only what it runs, so `--help` loads no numpy.  A
-# library name read as `cli.<name>` (perfbench's tracer does) is looked up
-# in its home module on every access, so a function replaced there is found.
-_LAZY_NAMES = {
-    name: module
-    for module, names in {
-        "analysis": "random_baseline richness_report triple_block",
-        "counting": "asf_profile inequivalent_profile",
-        "discrepancy": "certificate_sweep growth_certificate rotation_discrepancy",
-        "quadratic": "QuadraticIrrational parse_angle",
-        "search": "compare_alphabets max_asf max_inequivalent",
-        "sturmian": "SturmianSpec sturmian_asf_range sturmian_prefix",
-        "substitutions": "FixedPointSpec fixed_point_prefix read_substitution_file thue_morse_prefix",
-        "words": "Word read_word_file write_word_file",
-    }.items()
-    for name in names.split()
-}
+# Each command imports only what it runs, so `--help` loads no numpy.
+# perfbench's self-test reads `cli.asf_profile`; it is looked up in
+# `counting` on every access, so a function the tracer replaced is found.
 
 
 def __getattr__(name):
-    if name not in _LAZY_NAMES:
+    if name != "asf_profile":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"absquares.{_LAZY_NAMES[name]}"), name)
+    from .counting import asf_profile
+
+    return asf_profile
 
 
 # -- output plumbing -------------------------------------------------------

@@ -329,12 +329,14 @@ def inequivalent_profile(
 def unstable_lengths(word: Word, lengths, index: FactorIndex | None = None) -> list:
     """Adequacy certificate for a prefix of an infinite word: the lengths at
     which the distinct factor counts of the half prefix and the full prefix
-    differ.  `index` may hold the full prefix's index; each is built once."""
-    lengths = list(lengths)
-    depth = max(lengths, default=0)
-    full = index if index is not None else FactorIndex(word, depth)
-    half = FactorIndex(word[: len(word) // 2], depth)
-    return [n for n in lengths if n > half.n or half.distinct_count(n) != full.distinct_count(n)]
+    differ.  `index` may hold the full prefix's index, the one index built."""
+    lengths, half = list(lengths), len(word) // 2
+    index = index if index is not None else FactorIndex(word, max(lengths, default=0))
+
+    def half_count(n):  # runs of suffixes sharing n letters with a start <= half - n
+        return np.unique(np.cumsum(index.lcp < n)[index.sa <= half - n]).size
+
+    return [n for n in lengths if n and (n > half or half_count(n) != index.distinct_count(n))]
 
 
 def factor_counts_stable(word: Word, lengths) -> bool:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .counting import CHUNK_LETTERS, batch_counts
-from .words import Alphabet, Word, is_abelian_square
+from .words import Alphabet
 
 
 DEFAULT_BUDGETS = {2: 26, 3: 16, 4: 12}
@@ -53,28 +53,24 @@ _OBJECTIVES = (OBJECTIVE_DISTINCT, OBJECTIVE_INEQUIVALENT)
 
 
 def witness_value(text: str, objective: str) -> int:
-    """Re-evaluate a witness through the basic word primitives.
+    """Re-evaluate a witness from its text alone.
 
-    Deliberately shares no code with the search evaluators: factors are
-    materialized as :class:`Word` objects and tested one by one with
-    :func:`is_abelian_square`.
+    Deliberately shares no code with the search evaluators: every even-length
+    slice is a factor, an abelian square when its halves sort to the same
+    letters, and its class is its length and its sorted first half.
     """
-    word = Word.from_text(text, Alphabet.from_symbols("".join(sorted(set(text)))))
-    n = len(word)
-    seen = set()
-    classes = set()
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    n = len(text)
+    squares = set()
     for m in range(2, n + 1, 2):
         for s in range(n - m + 1):
-            f = word.factor(s, m)
-            if is_abelian_square(f):
-                seen.add(f.data)
-                half = f.data[: m // 2]
-                classes.add((m, tuple(sorted(half))))
+            f = text[s : s + m]
+            if sorted(f[: m // 2]) == sorted(f[m // 2 :]):
+                squares.add(f)
     if objective == OBJECTIVE_DISTINCT:
-        return len(seen)
-    if objective == OBJECTIVE_INEQUIVALENT:
-        return len(classes)
-    raise ValueError(f"unknown objective {objective!r}")
+        return len(squares)
+    return len({(len(f), "".join(sorted(f[: len(f) // 2]))) for f in squares})
 
 
 # -- enumeration ---------------------------------------------------------

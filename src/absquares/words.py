@@ -136,33 +136,6 @@ class Word:
         return Word(self.alphabet, self.data[start : start + length])
 
 
-def is_abelian_kpower(word: Word, k: int) -> bool:
-    """True iff the word splits into k consecutive blocks sharing a Parikh vector.
-
-    The empty word is an abelian k-power for every k >= 1.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = len(word)
-    if n == 0:
-        return True
-    if n % k != 0:
-        return False
-    block = n // k
-    data = word.data
-    sigma = word.alphabet.size
-    first = [data.count(l, 0, block) for l in range(sigma)]
-    for j in range(1, k):
-        lo = j * block
-        if any(data.count(l, lo, lo + block) != first[l] for l in range(sigma)):
-            return False
-    return True
-
-
-def is_abelian_square(word: Word) -> bool:
-    return len(word) % 2 == 0 and is_abelian_kpower(word, 2)
-
-
 # -- word text files -------------------------------------------------------
 #
 # One word per line, display symbols only.  An optional header line

@@ -1,4 +1,5 @@
-"""Brute-force oracles for the counting engine and the canonical search.
+"""Brute-force oracles for the counting engine and the canonical search,
+and the abelian k-power predicate the word tests hold factors to.
 
 Every substring is enumerated, deduplicated by content and tested by
 counting letters: no suffix array, no prefix counts, no batching.  The
@@ -10,6 +11,33 @@ import itertools
 
 from absquares.counting import ASFProfile, InequivalentProfile
 from absquares.words import Alphabet, Word
+
+
+def is_abelian_kpower(word: Word, k: int) -> bool:
+    """True iff the word splits into k consecutive blocks sharing a Parikh vector.
+
+    The empty word is an abelian k-power for every k >= 1.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = len(word)
+    if n == 0:
+        return True
+    if n % k != 0:
+        return False
+    block = n // k
+    data = word.data
+    sigma = word.alphabet.size
+    first = [data.count(l, 0, block) for l in range(sigma)]
+    for j in range(1, k):
+        lo = j * block
+        if any(data.count(l, lo, lo + block) != first[l] for l in range(sigma)):
+            return False
+    return True
+
+
+def is_abelian_square(word: Word) -> bool:
+    return len(word) % 2 == 0 and is_abelian_kpower(word, 2)
 
 
 def _lengths(word: Word, max_length: int) -> range:

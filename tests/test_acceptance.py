@@ -32,11 +32,12 @@ from absquares.discrepancy import (
 from absquares.quadratic import GOLDEN_ANGLE, SILVER_ANGLE
 from absquares.search import OBJECTIVE_DISTINCT, max_asf, witness_value
 from absquares.sturmian import SturmianSpec, sturmian_asf_range, sturmian_prefix
-from absquares.words import Alphabet, Word, is_abelian_kpower, write_word_file
+from absquares.words import Alphabet, Word, write_word_file
 from counting_reference import (
     asf_profile_brute,
     full_enumeration_max,
     inequivalent_profile_brute,
+    is_abelian_kpower,
 )
 from paper_facts import (
     boundary_counts,

@@ -1,14 +1,16 @@
-"""Every function the benchmark traces still exists, and `cli` still names it.
+"""Every function the benchmark traces still exists, and `cli` names the one
+the harness's self-test reads.
 
 `perfbench/layers.py` wraps the package's functions by name and drops the
 metrics of any target it cannot find, so a renamed or deleted function
 would silently change the benchmark's result line.  This test loads the
 harness module by path and resolves each target the way it does.
 
-The harness's self-test also reads library functions as attributes of
+The harness's self-test also reads `asf_profile` as an attribute of
 `absquares.cli` and expects the wrapped function there during a pass.  The
-CLI imports them inside its commands and resolves `cli.<name>` on access,
-which the last tests pin.
+CLI imports what it runs inside its commands and resolves that one name
+from `counting` on access; any other name is an AttributeError.  The last
+tests pin this.
 """
 
 import importlib
@@ -35,20 +37,8 @@ def test_target_resolves(target):
     assert layers._resolve(target) is not None, f"{target} is gone; its metrics would be absent"
 
 
-# The library names `absquares.cli` imported at module level before each
-# command imported what it runs, by home module.
-CLI_NAMES = {
-    "analysis": ("random_baseline", "richness_report", "triple_block"),
-    "counting": ("asf_profile", "inequivalent_profile"),
-    "discrepancy": ("certificate_sweep", "growth_certificate", "rotation_discrepancy"),
-    "quadratic": ("QuadraticIrrational", "parse_angle"),
-    "search": ("compare_alphabets", "max_asf", "max_inequivalent"),
-    "sturmian": ("SturmianSpec", "sturmian_asf_range", "sturmian_prefix"),
-    "substitutions": (
-        "FixedPointSpec", "fixed_point_prefix", "read_substitution_file", "thue_morse_prefix"
-    ),
-    "words": ("Word", "read_word_file", "write_word_file"),
-}
+# The library names `absquares.cli` resolves, by home module.
+CLI_NAMES = {"counting": ("asf_profile",)}
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from counting_reference import asf_profile_brute, inequivalent_profile_brute
 from occurrence_reference import occurrence_blocks
@@ -19,6 +19,7 @@ from absquares.counting import (
     asf_profile,
     factor_counts_stable,
     inequivalent_profile,
+    unstable_lengths,
 )
 from absquares.words import Alphabet, Word
 
@@ -212,3 +213,25 @@ class TestStability:
     def test_short_prefix_not_stable(self):
         # a 60-letter prefix cannot have seen every length-50 factor
         assert not factor_counts_stable(fibonacci_word(60), [50])
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda sigma: st.binary(max_size=60).map(
+                lambda b: Word(Alphabet.default(sigma), bytes(x % sigma for x in b))
+            )
+        ),
+        st.booleans(),
+    )
+    @example(Word(Alphabet.default(1), b""), False)
+    @example(Word(Alphabet.default(2), b"\x00\x01\x01\x00\x01"), True)
+    def test_unstable_lengths_match_set_oracle(self, word, pass_index):
+        # every length 0..N: n = 0 is stable, n > N // 2 has no half-prefix factor
+        data, half = word.data, len(word) // 2
+        lengths = range(len(word) + 1)
+        expected = [
+            n for n in lengths
+            if len({data[s : s + n] for s in range(half - n + 1)})
+            != len({data[s : s + n] for s in range(len(word) - n + 1)})
+        ]
+        index = FactorIndex(word) if pass_index else None
+        assert unstable_lengths(word, lengths, index) == expected

@@ -55,9 +55,9 @@ class TestCanonicalWords:
 
 
 class TestObjectives:
-    @given(st.binary(min_size=1, max_size=16).map(lambda b: bytes(x % 3 for x in b)))
+    @given(st.binary(min_size=1, max_size=26).map(lambda b: bytes(x % 4 for x in b)))
     def test_witness_value_matches_profiles(self, data):
-        text = "".join("abc"[x] for x in data)
+        text = "".join("abcd"[x] for x in data)
         word = Word.from_text(text)
         m = len(word) - (len(word) % 2)
         assert witness_value(text, OBJECTIVE_DISTINCT) == asf_profile(word, m).total

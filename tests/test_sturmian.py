@@ -11,7 +11,7 @@ from absquares.sturmian import (
     sturmian_asf_range,
     sturmian_prefix,
 )
-from absquares.words import is_abelian_square
+from counting_reference import is_abelian_square
 from paper_facts import (
     distinct_factors,
     fibonacci_word,

@@ -15,7 +15,8 @@ from absquares.substitutions import (
     parse_substitution_lines,
     thue_morse_prefix,
 )
-from absquares.words import BINARY_01, Alphabet, Word, is_abelian_square
+from absquares.words import BINARY_01, Alphabet, Word
+from counting_reference import is_abelian_square
 from paper_facts import BoundaryCounts, boundary_counts, tm_abelian_square_lift, tm_complexity
 
 

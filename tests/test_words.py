@@ -8,12 +8,11 @@ from absquares.words import (
     BINARY_AB,
     Word,
     infer_alphabet,
-    is_abelian_kpower,
-    is_abelian_square,
     parse_word_lines,
     format_word_lines,
     read_word_file,
 )
+from counting_reference import is_abelian_kpower, is_abelian_square
 from paper_facts import fibonacci_word, is_balanced, parikh
 
 
