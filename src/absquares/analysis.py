@@ -34,15 +34,6 @@ class InadequatePrefixError(ValueError):
     """The prefix is too short to speak for the infinite word."""
 
 
-def _require_adequate(prefix: Word, lengths, index: FactorIndex) -> None:
-    bad = unstable_lengths(prefix, lengths, index)
-    if bad:
-        raise InadequatePrefixError(
-            f"factor counts not stabilized for lengths {bad}; "
-            f"supply a longer prefix (got {len(prefix)} letters)"
-        )
-
-
 def fit_exponent(lengths, values) -> float:
     """Least-squares slope of log(value) against log(length)."""
     if not all(v > 0 for v in values):
@@ -83,14 +74,16 @@ def richness_report(prefix: Word, lengths, check_adequacy: bool = True) -> Richn
     if lengths[-1] > len(prefix):
         raise ValueError("length grid exceeds the prefix")
     index = FactorIndex(prefix, lengths[-1])
-    if check_adequacy:
-        _require_adequate(prefix, lengths, index)
-    letters = prefix.to_array()
+    if check_adequacy and (bad := unstable_lengths(prefix, lengths, index)):
+        raise InadequatePrefixError(
+            f"factor counts not stabilized for lengths {bad}; "
+            f"supply a longer prefix (got {len(prefix)} letters)"
+        )
     avg_per_n: dict = {}
     min_per_n: dict = {}
     recurrence_table: dict = {}
     for n in lengths:
-        factors = sliding_window_view(letters, n)[index.representative_positions(n)]
+        factors = sliding_window_view(index.arr, n)[index.representative_positions(n)]
         totals = batch_counts(factors, prefix.alphabet.size).sum(axis=1)
         avg_per_n[n] = Fraction(int(totals.sum()), totals.size)
         min_per_n[n] = int(totals.min())

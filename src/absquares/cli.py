@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 domain/verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -53,25 +54,17 @@ def _angle_json(angle, precision: int) -> dict:
     }
 
 
-def _write_text(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit(args, document: dict, rows: list[dict], columns: list[str]) -> None:
     """Write `document` (json) or `rows` with `columns` (csv)."""
-    if args.format == "json":
-        _write_text(args, json.dumps(document, indent=2) + "\n")
-        return
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    _write_text(args, buf.getvalue())
+    if args.format == "json":
+        buf.write(json.dumps(document, indent=2) + "\n")
+    else:
+        writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(buf.getvalue())
 
 
 def _load_word(path):
@@ -193,7 +186,7 @@ def _cmd_sturmian_asf(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    from .counting import FactorIndex
+    from .counting import FactorIndex, asf_profile
     from .quadratic import parse_angle
     from .sturmian import SturmianSpec, sturmian_asf_range, sturmian_prefix
 
@@ -201,25 +194,18 @@ def _cmd_crosscheck(args) -> int:
     arithmetic = sturmian_asf_range(angle, args.max_n)
     prefix = sturmian_prefix(SturmianSpec(angle, angle), args.prefix_len)
     index = FactorIndex(prefix, args.max_n)
-    rows = []
-    all_match = True
     for n in sorted(arithmetic):
         if index.distinct_count(n) != n + 1:
             raise ValueError(
                 f"prefix of length {args.prefix_len} does not exhaust the "
                 f"length-{n} factors; increase --prefix-len"
             )
-        combinatorial = index.abelian_square_count(n)
-        match = combinatorial == arithmetic[n]
-        all_match = all_match and match
-        rows.append(
-            {
-                "n": n,
-                "arithmetic": arithmetic[n],
-                "combinatorial": combinatorial,
-                "match": match,
-            }
-        )
+    combinatorial = asf_profile(prefix, max(arithmetic, default=0), index).counts
+    rows = [
+        {"n": n, "arithmetic": a, "combinatorial": combinatorial[n], "match": combinatorial[n] == a}
+        for n, a in sorted(arithmetic.items())
+    ]
+    all_match = all(row["match"] for row in rows)
     document = {
         "schema": "absquares.crosscheck/1",
         "angle": _angle_json(angle, args.precision),

@@ -17,18 +17,23 @@ from math import gcd, isqrt, log, sqrt
 
 @lru_cache(maxsize=1024)
 def _split_square(d: int) -> tuple[int, int]:
-    """d = s**2 * d0 with d0 squarefree; returns (s, d0).  Cached: the trial
-    division costs O(sqrt(d)), and a field's values all share one radicand."""
+    """d = s**2 * d0 with d0 squarefree; returns (s, d0).  Trial division stops
+    once f**3 exceeds the rest, whose prime factors are then all >= f: it is
+    1, p, p*q or p**2, told apart by one isqrt.  Cached: that costs about
+    cbrt(d) divisions, and a field's values all share one radicand."""
     if d < 0:
         raise ValueError("negative radicand")
-    s, d0 = 1, d
-    f = 2
-    while f * f <= d0:
-        while d0 % (f * f) == 0:
-            d0 //= f * f
+    s, free, rest, f = 1, 1, d, 2
+    while f * f * f <= rest:
+        while rest % (f * f) == 0:
+            rest //= f * f
             s *= f
+        if rest % f == 0:
+            rest //= f
+            free *= f
         f += 1
-    return s, d0
+    r = isqrt(rest)
+    return (s * r, free) if r * r == rest > 0 else (s, free * rest)
 
 
 def _sign(x: int) -> int:

@@ -162,21 +162,12 @@ def _shard_worker(args) -> dict:
 # -- checkpointing -------------------------------------------------------
 
 
-def _checkpoint_header(sigma, length, objective, witness_cap) -> dict:
-    return {
-        "schema": _CHECKPOINT_SCHEMA,
-        "sigma": sigma,
-        "length": length,
-        "objective": objective,
-        "witness_cap": witness_cap,
-    }
-
-
 def _is_shard_record(rec, header: dict, names) -> bool:
     """Whether `rec` could be the record of one of the shards `names` of the
     search `header`: its shard's number of canonical words, 1 <= attaining
-    <= count, as many witnesses as the fold keeps, each a word of the shard,
-    and a best that the first witness re-verifies to."""
+    <= count, as many witnesses as the fold keeps, in increasing order, each
+    a canonical word of the shard, and a best that the first witness
+    re-verifies to."""
     if not (
         isinstance(rec, dict)
         and rec.get("prefix") in names
@@ -186,17 +177,19 @@ def _is_shard_record(rec, header: dict, names) -> bool:
     ):
         return False
     sigma, length, cap = header["sigma"], header["length"], header["witness_cap"]
-    prefix, symbols = rec["prefix"], set(Alphabet.default(sigma).symbols)
-    attaining = rec["attaining"]
+    prefix, letters = rec["prefix"], "".join(Alphabet.default(sigma).symbols)
+    attaining, witnesses = rec["attaining"], rec["witnesses"]
     return (
         rec["count"] == _canonical_count(sigma, length - len(prefix), len(set(prefix)))
         and 1 <= attaining <= rec["count"]
-        and len(rec["witnesses"]) == min(attaining, max(cap, 1))
+        and len(witnesses) == min(attaining, max(cap, 1))
+        and all(a < b for a, b in zip(witnesses, witnesses[1:]))
         and all(
-            len(w) == length and w.startswith(prefix) and set(w) <= symbols
-            for w in rec["witnesses"]
+            len(w) == length and w.startswith(prefix)
+            and letters.startswith("".join(dict.fromkeys(w)))  # first appearances: a, b, ...
+            for w in witnesses
         )
-        and witness_value(rec["witnesses"][0], header["objective"]) == rec["best"]
+        and witness_value(witnesses[0], header["objective"]) == rec["best"]
     )
 
 
@@ -293,7 +286,10 @@ def _search(
     _check_budget(sigma, length, budgets)
 
     prefixes = list(canonical_words(sigma, min(_SHARD_PREFIX_LEN, length)))
-    header = _checkpoint_header(sigma, length, objective, witness_cap)
+    header = {
+        "schema": _CHECKPOINT_SCHEMA, "sigma": sigma, "length": length,
+        "objective": objective, "witness_cap": witness_cap,
+    }
     symbols = Alphabet.default(sigma).symbols
     names = ["".join(symbols[i] for i in p) for p in prefixes]
     path = Path(checkpoint) if checkpoint is not None else None

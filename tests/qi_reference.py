@@ -3,7 +3,8 @@ QuadraticIrrational per point or complete quotient.  The package computes the
 same quantities from integer floors and floor sums; these slow,
 obviously-exact loops are what `test_kernel.py` compares it against.  The
 brute-force discrepancy is the oracle of the closed form in
-`absquares.discrepancy`."""
+`absquares.discrepancy`, and the trial division up to sqrt(d) that of the
+radicand split in `absquares.quadratic`."""
 
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
@@ -154,3 +155,16 @@ def cf_expand(x, max_steps: int) -> ContinuedFraction:
         terms.append(a)
         y = (y - a).inverse()
     raise ValueError(f"no period found within {max_steps} steps")
+
+
+def split_square(d: int) -> tuple:
+    """d = s**2 * d0 with d0 squarefree, as (s, d0): every f with f*f up to
+    what is left is divided out while its square divides."""
+    s, d0 = 1, d
+    f = 2
+    while f * f <= d0:
+        while d0 % (f * f) == 0:
+            d0 //= f * f
+            s *= f
+        f += 1
+    return s, d0

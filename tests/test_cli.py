@@ -12,6 +12,7 @@ import pytest
 
 from absquares import cli
 from absquares.cli import build_parser, main
+from absquares.search import OBJECTIVE_DISTINCT, canonical_words, witness_value
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -156,6 +157,16 @@ class TestArithmeticCommands:
         for angle in ("qi:(1,0,3,0)", "qi:(1,1,2,0)"):
             assert main(["sturmian-asf", "--angle", angle, "--max-n", "8"]) == 1
             assert capsys.readouterr().err == "error: angle must be irrational in (0, 1)\n"
+
+    def test_large_radicand_angle_runs(self, capsys):
+        # the discriminant 994018964042970013 would take about 10^9 trial
+        # divisions up to its square root
+        code, out = run(
+            capsys, "sturmian-asf", "--angle", "cf:[0;|1000,999,998]", "--max-n", "10",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines() == ["n,count", "2,1", "4,1", "6,1", "8,1", "10,1"]
 
     def test_malformed_qi_angle_is_one_line(self, capsys):
         assert main(["sturmian-asf", "--angle", "qi:(1,0,3)", "--max-n", "8"]) == 1
@@ -398,6 +409,12 @@ class TestSearchCommands:
             pytest.param(
                 16, lambda rec: {"witnesses": [w[:-1] + "z" for w in rec["witnesses"]]}, id="witness-symbol"
             ),
+            # line 3 holds five witnesses, each attaining its best
+            pytest.param(
+                16, lambda rec: {"witnesses": rec["witnesses"][:1] + rec["witnesses"][:-1]},
+                id="duplicate-witness",
+            ),
+            pytest.param(16, lambda rec: {"witnesses": rec["witnesses"][::-1]}, id="unordered-witnesses"),
         ],
     )
     def test_forged_record_values_rejected(self, capsys, tmp_path, cap, forge):
@@ -416,6 +433,24 @@ class TestSearchCommands:
         assert err.count("\n") == 1
         assert err.startswith(f"error: checkpoint {checkpoint} line 3 is corrupt")
 
+    def test_forged_non_canonical_witness_rejected(self, capsys, tmp_path):
+        # aaaacca attains shard aaaa's best, 4, but its letters first appear
+        # as a, c: the search never enumerates it
+        checkpoint = tmp_path / "shards.jsonl"
+        search = ["search", "max-asf", "--sigma", "3", "--len", "7", "--checkpoint", str(checkpoint)]
+        assert main(search) == 0
+        header, line, *rest = checkpoint.read_text().splitlines(keepends=True)
+        record = json.loads(line)
+        assert (record["prefix"], record["best"], record["attaining"]) == ("aaaa", 4, 1)
+        assert witness_value("aaaacca", OBJECTIVE_DISTINCT) == 4
+        forged = json.dumps({**record, "witnesses": ["aaaacca"]})
+        checkpoint.write_text(header + forged + "\n" + "".join(rest))
+        capsys.readouterr()
+        assert main(search) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: checkpoint {checkpoint} line 2 is corrupt")
+
     def test_forged_later_witness_fails_reverification(self, capsys, tmp_path):
         # the load re-verifies each record's first witness; a later witness of
         # the record that carries the maximum meets the search's own re-check
@@ -425,9 +460,18 @@ class TestSearchCommands:
         header, *lines = checkpoint.read_text().splitlines(keepends=True)
         records = [json.loads(line) for line in lines]
         top = max(records, key=lambda rec: rec["best"])
-        assert len(top["witnesses"]) >= 2
-        forged = top["prefix"].ljust(12, "a")
-        top["witnesses"][1] = forged
+        witnesses = top["witnesses"]
+        assert len(witnesses) >= 2
+        # a canonical word of the shard, in order between witnesses 0 and 2,
+        # that misses the maximum: only the re-check can tell
+        after = witnesses[2] if len(witnesses) > 2 else top["prefix"] + "~"
+        forged = next(
+            text
+            for text in (bytes(97 + c for c in word).decode() for word in canonical_words(2, 12))
+            if witnesses[0] < text < after and text.startswith(top["prefix"])
+            and witness_value(text, OBJECTIVE_DISTINCT) != top["best"]
+        )
+        witnesses[1] = forged
         checkpoint.write_text(header + "".join(json.dumps(rec) + "\n" for rec in records))
         capsys.readouterr()
         assert main(search) == 1
@@ -461,6 +505,59 @@ class TestSearchCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: comparison is anchored at sigma=2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "EMPTY"], "no word found in EMPTY"),
+        (["richness", "TM", "--lengths", "1"], "lengths must be >= 2"),
+        (["richness", "TM", "--lengths", "8,128"], "length grid exceeds the prefix"),
+        (["baseline", "--lengths", "0"], "lengths must be positive"),
+        (["baseline", "--lengths", "8", "--trials", "0"], "trials must be >= 1"),
+        (["search", "max-asf", "--sigma", "1", "--len", "4"], "alphabet must have at least two letters"),
+        (["search", "max-asf", "--sigma", "2", "--len", "0"], "length must be >= 1"),
+        (["certificate", "--angle", "cf:[0;|1]", "--n", "1", "--sweep"], "max_n must be >= 2"),
+        (["sturmian-asf", "--angle", "cf:[0;|1]", "--max-n", "-1"], "max_n must be >= 0"),
+        (
+            ["sturmian-asf", "--angle", "cf:[0;1,2]", "--max-n", "4"],
+            "period must be non-empty for an irrational value",
+        ),
+        (["generate", "sturmian", "--angle", "cf:[0;|1]", "--len", "-1"], "length must be >= 0"),
+        (
+            ["generate", "sturmian", "--angle", "cf:[0;|1]", "--rho", "qi:(3,0,2,0)", "--len", "4"],
+            "initial point must lie in [0, 1)",
+        ),
+        (["generate", "thue-morse", "--len", "-1"], "length must be >= 0"),
+        (["generate", "substitution-file", "COMMENT", "--len", "4"], "no substitution rules found"),
+        (
+            ["generate", "substitution-file", "NO_IMAGE", "--len", "4"],
+            "malformed substitution rule: 'a ->'",
+        ),
+    ],
+    ids=[
+        "count-no-word", "richness-length-1", "richness-above-prefix", "baseline-length-0",
+        "baseline-trials-0", "search-sigma-1", "search-len-0", "certificate-sweep-n-1",
+        "sturmian-asf-max-n-negative", "sturmian-asf-empty-period", "generate-sturmian-len-negative",
+        "generate-sturmian-rho-outside", "generate-thue-morse-len-negative",
+        "substitution-file-only-comment", "substitution-file-empty-image",
+    ],
+)
+def test_input_check_is_one_error_line(capsys, tmp_path, argv, message):
+    files = {
+        "EMPTY": "#alphabet: ab\n",
+        "TM": "#alphabet: 01\n" + "0110100110010110" * 4 + "\n",
+        "COMMENT": "#seed: a\n",
+        "NO_IMAGE": "a ->\n",
+    }
+    paths = {name: tmp_path / name for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    code = main([str(paths.get(arg, arg)) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    expected = message.replace("EMPTY", str(paths["EMPTY"]))
+    assert captured.err == f"error: {expected}\n"
 
 
 class TestUsageErrors:

@@ -65,6 +65,24 @@ class TestSquareSplitCache:
         assert field_results(raw) == cached
 
 
+class TestSquareSplit:
+    def test_equals_the_square_root_trial_division(self):
+        rng = random.Random(29)
+        grid = [*range(20_000), *(rng.randrange(10**9) for _ in range(1000))]
+        grid += [rng.randrange(10**12) for _ in range(20)]
+        split = quadratic._split_square.__wrapped__
+        assert [split(d) for d in grid] == [qi_reference.split_square(d) for d in grid]
+
+    @pytest.mark.parametrize("p, q", [(999_983, 999_979), (999_983, 2), (2, 999_983), (999_979, 1)])
+    def test_square_of_a_prime_above_the_cube_root(self, p, q):
+        # p**2 * q with p near 10^6: trial division stops near cbrt(d) < p
+        assert quadratic._split_square.__wrapped__(p * p * q) == (p, q)
+
+    def test_products_of_two_large_primes_stay_squarefree(self):
+        d = 999_983 * 999_979 * 6
+        assert quadratic._split_square.__wrapped__(d) == (1, d)
+
+
 class TestArithmetic:
     def test_phi_satisfies_its_equation(self):
         assert PHI * PHI == PHI + 1
